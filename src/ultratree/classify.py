@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core_tree import is_non_degenerate
-from .errors import DegenerateLabeling
+from .errors import DegenerateLabeling, InvalidDeclaration
 from .ratio import format_rational
-from .seqs import LabelSeq
+from .seqs import LabelSeq, Ref
 from .symbolic import (
+    CENTER,
     Address,
     Finite,
     GlueFamily,
@@ -37,17 +38,18 @@ from .symbolic import (
     ScaledLabels,
     Star,
     SymbolicTree,
+    canonical,
     contains_kind,
+    copies,
     first_of_kind,
     format_address,
     instantiate,
-    member_window,
+    member_shape,
+    pieces,
     site_base_step,
     site_of_base_step,
     validate_symbolic,
 )
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,38 @@ class IsolatedPointsReport:
 
 
 # ---------------------------------------------------------------------------
+# pieces of the concrete tree
+
+
+def _member_memo():
+    """An ``instantiate`` that builds each family member once, so the piece
+    list and the copies looked up later share their members."""
+    made: dict[tuple[int, int], tuple[GlueFamily, SymbolicTree]] = {}
+
+    def member(fam: GlueFamily, m: int) -> SymbolicTree:
+        key = (id(fam), m)  # the stored family keeps its id from being reused
+        if key not in made:
+            made[key] = (fam, instantiate(fam, m))
+        return made[key][1]
+
+    return member
+
+
+def _concrete_pieces(node: SymbolicTree, member) -> list:
+    """The piece list every label walker of one call shares."""
+    ps = list(pieces(node, member))
+    if any(scale is None for _, _, scale in ps):
+        raise InvalidDeclaration("scale factor is an unresolved ref")
+    if any(isinstance(p, Star) and isinstance(p.center_label, Ref) for _, p, _ in ps):
+        raise InvalidDeclaration("center label is an unresolved ref")
+    return ps
+
+
+def _scaled_by(scale: Fraction) -> str:
+    return f" scaled by {format_rational(scale)}" if scale != 1 else ""
+
+
+# ---------------------------------------------------------------------------
 # degeneracy
 
 
@@ -107,88 +141,52 @@ def _first_zero_index(seq: LabelSeq) -> int | None:
     return None
 
 
-def check_non_degenerate(node: SymbolicTree, prefix: Address = ()) -> None:
-    """Raise DegenerateLabeling if some edge has both endpoint labels zero."""
-    if isinstance(node, Finite):
-        ok, bad = is_non_degenerate(node.tree)
+def _zero_edge(piece) -> tuple[tuple, tuple, str] | None:
+    """First edge of one piece whose endpoints are both labeled zero."""
+    if isinstance(piece, Finite):
+        ok, bad = is_non_degenerate(piece.tree)
         if not ok:
             u, v = bad[0]
-            raise DegenerateLabeling(
-                (format_address(prefix + (("vertex", u),)),
-                 format_address(prefix + (("vertex", v),))),
-                "both endpoint labels are zero",
-            )
-        return
-    if isinstance(node, Ray):
-        hit = node.labels.has_adjacent_zero_pair()
+            return ("vertex", u), ("vertex", v), "both endpoint labels are zero"
+    elif isinstance(piece, Ray):
+        n = piece.labels.has_adjacent_zero_pair()
+        if n is not None:
+            return ("ray", n), ("ray", n + 1), "consecutive ray labels are both zero"
+    elif isinstance(piece, Star) and piece.center_label == 0:
+        k = _first_zero_index(piece.leaf_labels)
+        if k is not None:
+            return CENTER, ("leaf", k), "zero-labeled center with a zero-labeled leaf"
+    return None
+
+
+def _raise_degenerate(ps) -> None:
+    for prefix, piece, _ in ps:
+        hit = _zero_edge(piece)
         if hit is not None:
+            u, v, why = hit
             raise DegenerateLabeling(
-                (format_address(prefix + (("ray", hit),)),
-                 format_address(prefix + (("ray", hit + 1),))),
-                "consecutive ray labels are both zero",
+                (format_address(prefix + (u,)), format_address(prefix + (v,))), why
             )
-        return
-    if isinstance(node, Star):
-        if node.center_label == 0:
-            k = _first_zero_index(node.leaf_labels)
-            if k is not None:
-                raise DegenerateLabeling(
-                    (format_address(prefix + (("center",),)),
-                     format_address(prefix + (("leaf", k),))),
-                    "zero-labeled center with a zero-labeled leaf",
-                )
-        return
-    if isinstance(node, GlueFinite):
-        check_non_degenerate(node.base, prefix + (("base",),))
-        for i, att in enumerate(node.attachments):
-            check_non_degenerate(att.part, prefix + (("attach", i),))
-        return
-    if isinstance(node, GlueFamily):
-        check_non_degenerate(node.base, prefix + (("base",),))
-        for m in member_window(node):
-            check_non_degenerate(instantiate(node, m), prefix + (("member", m),))
-        return
-    if isinstance(node, ScaledLabels):
-        check_non_degenerate(node.inner, prefix)
-        return
+
+
+def check_non_degenerate(node: SymbolicTree, prefix: Address = ()) -> None:
+    """Raise DegenerateLabeling if some edge has both endpoint labels zero."""
+    _raise_degenerate(pieces(node, prefix=prefix))
 
 
 # ---------------------------------------------------------------------------
 # completeness: rays with vanishing limsup
 
 
-def _vanishing_ray(node: SymbolicTree, prefix: Address) -> Witness | None:
-    if isinstance(node, Ray):
-        if node.labels.limsup() == 0:
+def _vanishing_ray(ps) -> Witness | None:
+    for prefix, piece, _ in ps:
+        if isinstance(piece, Ray) and piece.labels.limsup() == 0:
             return Witness(
                 "vanishing_ray",
                 format_address(prefix + (("ray", 1),)),
-                f"ray labels {node.labels.describe()} have limsup 0, so the "
+                f"ray labels {piece.labels.describe()} have limsup 0, so the "
                 "vertex sequence along the ray is Cauchy without a limit",
             )
-        return None
-    if isinstance(node, (Finite, Star)):
-        return None
-    if isinstance(node, GlueFinite):
-        w = _vanishing_ray(node.base, prefix + (("base",),))
-        if w:
-            return w
-        for i, att in enumerate(node.attachments):
-            w = _vanishing_ray(att.part, prefix + (("attach", i),))
-            if w:
-                return w
-        return None
-    if isinstance(node, GlueFamily):
-        w = _vanishing_ray(node.base, prefix + (("base",),))
-        if w:
-            return w
-        for m in member_window(node):
-            w = _vanishing_ray(instantiate(node, m), prefix + (("member", m),))
-            if w:
-                return w
-        return None
-    if isinstance(node, ScaledLabels):
-        return _vanishing_ray(node.inner, prefix)
     return None
 
 
@@ -196,90 +194,42 @@ def _vanishing_ray(node: SymbolicTree, prefix: Address) -> Witness | None:
 # total boundedness
 
 
-def _nonvanishing_seq(node: SymbolicTree, prefix: Address) -> Witness | None:
+def _nonvanishing_seq(ps) -> Witness | None:
     """First infinite label family that fails to vanish (infinite V_eps)."""
-
-    def hit(seq: LabelSeq, addr: Address, what: str) -> Witness | None:
+    for prefix, piece, scale in ps:
+        if isinstance(piece, Ray):
+            seq, step, what = piece.labels, ("ray", 1), "ray labels"
+        elif isinstance(piece, Star):
+            seq, step, what = piece.leaf_labels, ("leaf", 1), "leaf labels"
+        elif isinstance(piece, GlueFamily):
+            seq, step, what = piece.envelope, ("member", 1), "family envelope"
+        else:
+            continue
         if seq.vanishes():
-            return None
-        eps = seq.limsup() / 2
+            continue
+        limsup = scale * seq.limsup()
         return Witness(
             "infinite_V_eps",
-            format_address(addr),
-            f"{what} {seq.describe()} has limsup "
-            f"{format_rational(seq.limsup())}, so infinitely many labels are "
-            f">= {format_rational(eps)}",
+            format_address(prefix + (step,)),
+            f"{what} {seq.describe()}{_scaled_by(scale)} has limsup "
+            f"{format_rational(limsup)}, so infinitely many labels are "
+            f">= {format_rational(limsup / 2)}",
         )
-
-    if isinstance(node, Finite):
-        return None
-    if isinstance(node, Ray):
-        return hit(node.labels, prefix + (("ray", 1),), "ray labels")
-    if isinstance(node, Star):
-        return hit(node.leaf_labels, prefix + (("leaf", 1),), "leaf labels")
-    if isinstance(node, GlueFinite):
-        w = _nonvanishing_seq(node.base, prefix + (("base",),))
-        if w:
-            return w
-        for i, att in enumerate(node.attachments):
-            w = _nonvanishing_seq(att.part, prefix + (("attach", i),))
-            if w:
-                return w
-        return None
-    if isinstance(node, GlueFamily):
-        w = _nonvanishing_seq(node.base, prefix + (("base",),))
-        if w:
-            return w
-        w = hit(node.envelope, prefix + (("member", 1),), "family envelope")
-        if w:
-            return w
-        for m in member_window(node):
-            w = _nonvanishing_seq(instantiate(node, m), prefix + (("member", m),))
-            if w:
-                return w
-        return None
-    if isinstance(node, ScaledLabels):
-        return _nonvanishing_seq(node.inner, prefix)
     return None
 
 
-def _positive_infinite_degree(node: SymbolicTree, prefix: Address) -> Witness | None:
+def _positive_infinite_degree(ps) -> Witness | None:
     """First star center carrying a positive label (infinite degree)."""
-    if isinstance(node, (Finite, Ray)):
-        return None
-    if isinstance(node, Star):
-        if node.center_label > 0:
+    for prefix, piece, scale in ps:
+        if isinstance(piece, Star) and piece.center_label > 0:
+            label = format_rational(scale * piece.center_label)
             return Witness(
                 "infinite_degree_positive_label",
-                format_address(prefix + (("center",),)),
-                f"vertex of infinite degree labeled "
-                f"{format_rational(node.center_label)}: the ball of radius "
-                f"{format_rational(node.center_label)} around it needs "
-                "infinitely many smaller balls to cover the leaves",
+                format_address(prefix + (CENTER,)),
+                f"vertex of infinite degree labeled {label}: the ball of radius "
+                f"{label} around it needs infinitely many smaller balls to "
+                "cover the leaves",
             )
-        return None
-    if isinstance(node, GlueFinite):
-        w = _positive_infinite_degree(node.base, prefix + (("base",),))
-        if w:
-            return w
-        for i, att in enumerate(node.attachments):
-            w = _positive_infinite_degree(att.part, prefix + (("attach", i),))
-            if w:
-                return w
-        return None
-    if isinstance(node, GlueFamily):
-        w = _positive_infinite_degree(node.base, prefix + (("base",),))
-        if w:
-            return w
-        for m in member_window(node):
-            w = _positive_infinite_degree(
-                instantiate(node, m), prefix + (("member", m),)
-            )
-            if w:
-                return w
-        return None
-    if isinstance(node, ScaledLabels):
-        return _positive_infinite_degree(node.inner, prefix)
     return None
 
 
@@ -289,14 +239,14 @@ def _positive_infinite_degree(node: SymbolicTree, prefix: Address) -> Witness | 
 
 @dataclass(frozen=True)
 class Bag:
-    """Neighbor labels of one vertex, contributed by one structural side."""
+    """Neighbor labels of one copy of a vertex, inside its own piece."""
 
     inf: Fraction | None  # None = empty contribution
     desc: str
     samples: tuple[str, ...] = ()
 
 
-def _combine(bags: list[Bag]) -> tuple[Fraction | None, str, tuple[str, ...]]:
+def _combine(bags) -> tuple[Fraction | None, str, tuple[str, ...]]:
     infs = [b.inf for b in bags if b.inf is not None]
     inf = min(infs) if infs else None
     desc = "; ".join(b.desc for b in bags if b.desc)
@@ -317,105 +267,33 @@ def _leaf_samples(seq: LabelSeq, prefix: Address, scale: Fraction) -> tuple[str,
     return tuple(out)
 
 
-def neighbor_bag(
-    node: SymbolicTree, addr: Address, abs_prefix: Address, scale: Fraction = ONE
-) -> Bag:
-    """Labels of the neighbors of ``addr`` in the merged view of ``node``."""
-    head, rest = addr[0], addr[1:]
-    if isinstance(node, Finite):
-        v = head[1]
-        vals = sorted(node.tree.labels[u] for u in node.tree.adjacency[v])
+def _labels_set(scale: Fraction, vals) -> str:
+    return "{" + ", ".join(format_rational(scale * x) for x in sorted(vals)) + "}"
+
+
+def _piece_bag(prefix: Address, piece, local: Address, scale: Fraction) -> Bag:
+    """Labels of the neighbors of one copy, within its piece."""
+    (kind, *arg), = local
+    if isinstance(piece, Finite):
+        vals = [piece.tree.labels[u] for u in piece.tree.adjacency[arg[0]]]
         if not vals:
             return Bag(None, "")
         return Bag(
-            scale * vals[0],
-            f"finite-tree neighbors with labels "
-            f"{{{', '.join(format_rational(scale * x) for x in vals)}}}",
-        )
-    if isinstance(node, Ray):
-        n = head[1]
-        vals = [node.labels.term(n + 1)]
-        if n >= 2:
-            vals.append(node.labels.term(n - 1))
-        return Bag(
             scale * min(vals),
-            f"ray neighbors with labels "
-            f"{{{', '.join(format_rational(scale * x) for x in sorted(vals))}}}",
+            f"finite-tree neighbors with labels {_labels_set(scale, vals)}",
         )
-    if isinstance(node, Star):
-        if head == ("center",):
-            seq = node.leaf_labels
-            samples = ()
-            if scale * seq.inf() == 0:
-                samples = _leaf_samples(seq, abs_prefix, scale)
-            return Bag(
-                scale * seq.inf(),
-                f"star leaves labeled {seq.describe()}"
-                + (f" scaled by {format_rational(scale)}" if scale != 1 else ""),
-                samples,
-            )
-        return Bag(scale * node.center_label, "the star center")
-    if isinstance(node, GlueFinite):
-        if head == ("base",):
-            bags = [neighbor_bag(node.base, rest, abs_prefix + (("base",),), scale)]
-            for i, att in enumerate(node.attachments):
-                if att.site == rest:
-                    bags.append(
-                        neighbor_bag(
-                            att.part, att.shared,
-                            abs_prefix + (("attach", i),), scale,
-                        )
-                    )
-            inf, desc, samples = _combine(bags)
-            return Bag(inf, desc, samples)
-        i = head[1]
-        att = node.attachments[i]
-        bags = [neighbor_bag(att.part, rest, abs_prefix + (("attach", i),), scale)]
-        if rest == att.shared:
-            bags.append(
-                neighbor_bag(node.base, att.site, abs_prefix + (("base",),), scale)
-            )
-            for j, other in enumerate(node.attachments):
-                if j != i and other.site == att.site:
-                    bags.append(
-                        neighbor_bag(
-                            other.part, other.shared,
-                            abs_prefix + (("attach", j),), scale,
-                        )
-                    )
-        inf, desc, samples = _combine(bags)
-        return Bag(inf, desc, samples)
-    if isinstance(node, GlueFamily):
-        if head == ("base",):
-            bags = [neighbor_bag(node.base, rest, abs_prefix + (("base",),), scale)]
-            m = site_of_base_step(node, rest[0]) if len(rest) == 1 else None
-            if m is not None:
-                bags.append(
-                    neighbor_bag(
-                        instantiate(node, m), node.shared,
-                        abs_prefix + (("member", m),), scale,
-                    )
-                )
-            inf, desc, samples = _combine(bags)
-            return Bag(inf, desc, samples)
-        m = head[1]
-        bags = [
-            neighbor_bag(
-                instantiate(node, m), rest, abs_prefix + (("member", m),), scale
-            )
-        ]
-        if rest == node.shared:
-            bags.append(
-                neighbor_bag(
-                    node.base, (site_base_step(node, m),),
-                    abs_prefix + (("base",),), scale,
-                )
-            )
-        inf, desc, samples = _combine(bags)
-        return Bag(inf, desc, samples)
-    if isinstance(node, ScaledLabels):
-        return neighbor_bag(node.inner, addr, abs_prefix, scale * node.factor)
-    return Bag(None, "")
+    if isinstance(piece, Ray):
+        vals = [piece.labels.term(n) for n in (arg[0] - 1, arg[0] + 1) if n >= 1]
+        return Bag(
+            scale * min(vals), f"ray neighbors with labels {_labels_set(scale, vals)}"
+        )
+    if kind == "leaf":
+        return Bag(scale * piece.center_label, "the star center")
+    seq = piece.leaf_labels
+    samples = _leaf_samples(seq, prefix, scale) if seq.inf() == 0 else ()
+    return Bag(
+        scale * seq.inf(), f"star leaves labeled {seq.describe()}{_scaled_by(scale)}", samples
+    )
 
 
 @dataclass(frozen=True)
@@ -427,133 +305,45 @@ class _CenterRecord:
     member: int | None
 
 
-def _center_records(
-    node: SymbolicTree,
-    prefix: Address,
-    extras: dict[Address, list[Bag]],
-    canon: dict[Address, Address],
-    scale: Fraction,
-    group: str | None,
-    member: int | None,
-    out: list[_CenterRecord],
-) -> None:
-    """Collect every star-center vertex class with its full neighbor bags."""
-    if isinstance(node, (Finite, Ray)):
-        return
-    if isinstance(node, Star):
-        local = (("center",),)
-        bag = neighbor_bag(node, local, prefix, scale)
-        bags = [bag] + extras.get(local, [])
-        out.append(
-            _CenterRecord(
-                canon.get(local, prefix + local),
-                scale * node.center_label,
-                tuple(bags),
-                group,
-                member,
+def _family_group(prefix: Address) -> tuple[str | None, int | None]:
+    """(report group, member index) of the innermost family member holding
+    the piece at ``prefix``."""
+    for j in range(len(prefix) - 1, -1, -1):
+        if prefix[j][0] == "member":
+            return format_address(prefix[:j]) or "top", prefix[j][1]
+    return None, None
+
+
+def _center_records(node: SymbolicTree, ps, member) -> list[_CenterRecord]:
+    """One record per star piece: its center's label and the neighbor bags of
+    every copy of that merged vertex."""
+    out = []
+    for prefix, piece, scale in ps:
+        if isinstance(piece, Star):
+            addr = prefix + (CENTER,)
+            bags = tuple(_piece_bag(*c) for c in copies(node, addr, member))
+            out.append(
+                _CenterRecord(
+                    canonical(node, addr),
+                    scale * piece.center_label,
+                    bags,
+                    *_family_group(prefix),
+                )
             )
-        )
-        return
-    if isinstance(node, GlueFinite):
-        base_extras: dict[Address, list[Bag]] = {}
-        for a, bl in extras.items():
-            if a and a[0] == ("base",):
-                base_extras.setdefault(a[1:], []).extend(bl)
-        base_canon = {
-            a[1:]: c for a, c in canon.items() if a and a[0] == ("base",)
-        }
-        for i, att in enumerate(node.attachments):
-            base_extras.setdefault(att.site, []).append(
-                neighbor_bag(att.part, att.shared, prefix + (("attach", i),), scale)
-            )
-        _center_records(
-            node.base, prefix + (("base",),), base_extras, base_canon,
-            scale, group, member, out,
-        )
-        for i, att in enumerate(node.attachments):
-            part_extras: dict[Address, list[Bag]] = {}
-            for a, bl in extras.items():
-                if a and a[0] == ("attach", i):
-                    part_extras.setdefault(a[1:], []).extend(bl)
-            boundary = [
-                neighbor_bag(node.base, att.site, prefix + (("base",),), scale)
-            ]
-            for j, other in enumerate(node.attachments):
-                if j != i and other.site == att.site:
-                    boundary.append(
-                        neighbor_bag(
-                            other.part, other.shared,
-                            prefix + (("attach", j),), scale,
-                        )
-                    )
-            part_extras.setdefault(att.shared, []).extend(boundary)
-            part_canon = {
-                a[1:]: c for a, c in canon.items() if a and a[0] == ("attach", i)
-            }
-            site_local = (("base",),) + att.site
-            part_canon.setdefault(
-                att.shared, canon.get(site_local, prefix + site_local)
-            )
-            _center_records(
-                att.part, prefix + (("attach", i),), part_extras, part_canon,
-                scale, group, member, out,
-            )
-        return
-    if isinstance(node, GlueFamily):
-        base_extras = {
-            a[1:]: bl for a, bl in extras.items() if a and a[0] == ("base",)
-        }
-        base_canon = {
-            a[1:]: c for a, c in canon.items() if a and a[0] == ("base",)
-        }
-        _center_records(
-            node.base, prefix + (("base",),), base_extras, base_canon,
-            scale, group, member, out,
-        )
-        fam_group = format_address(prefix) or "top"
-        for m in member_window(node):
-            mem = instantiate(node, m)
-            mem_extras: dict[Address, list[Bag]] = {}
-            for a, bl in extras.items():
-                if a and a[0] == ("member", m):
-                    mem_extras.setdefault(a[1:], []).extend(bl)
-            site = (site_base_step(node, m),)
-            mem_extras.setdefault(node.shared, []).append(
-                neighbor_bag(node.base, site, prefix + (("base",),), scale)
-            )
-            mem_canon = {
-                a[1:]: c for a, c in canon.items() if a and a[0] == ("member", m)
-            }
-            site_local = (("base",),) + site
-            mem_canon.setdefault(
-                node.shared, canon.get(site_local, prefix + site_local)
-            )
-            _center_records(
-                mem, prefix + (("member", m),), mem_extras, mem_canon,
-                scale, fam_group, m, out,
-            )
-        return
-    if isinstance(node, ScaledLabels):
-        _center_records(
-            node.inner, prefix, extras, canon, scale * node.factor,
-            group, member, out,
-        )
-        return
+    return out
 
 
 def _is_accumulation(rec: _CenterRecord) -> bool:
     if rec.label != 0:
         return False
-    inf, _, _ = _combine(list(rec.bags))
+    inf, _, _ = _combine(rec.bags)
     return inf == 0
 
 
-def _accumulation_witness(node: SymbolicTree) -> Witness | None:
-    out: list[_CenterRecord] = []
-    _center_records(node, (), {}, {}, ONE, None, None, out)
-    for rec in out:
+def _accumulation_witness(records) -> Witness | None:
+    for rec in records:
         if _is_accumulation(rec):
-            _, desc, samples = _combine(list(rec.bags))
+            _, desc, samples = _combine(rec.bags)
             detail = (
                 "zero-labeled vertex of infinite degree whose neighbor labels "
                 f"have infimum 0: {desc}"
@@ -573,12 +363,14 @@ def _accumulation_witness(node: SymbolicTree) -> Witness | None:
 def classify(node: SymbolicTree) -> Verdict:
     """Decide the four topological properties with witnesses."""
     validate_symbolic(node)
-    check_non_degenerate(node)
+    member = _member_memo()
+    ps = _concrete_pieces(node, member)
+    _raise_degenerate(ps)
 
-    complete_w = _vanishing_ray(node, ())
-    vanish_w = _nonvanishing_seq(node, ())
-    posinf_w = _positive_infinite_degree(node, ())
-    acc_w = _accumulation_witness(node)
+    complete_w = _vanishing_ray(ps)
+    vanish_w = _nonvanishing_seq(ps)
+    posinf_w = _positive_infinite_degree(ps)
+    acc_w = _accumulation_witness(_center_records(node, ps, member))
 
     rayless = not contains_kind(node, Ray)
     locally_finite = not contains_kind(node, Star)
@@ -613,100 +405,37 @@ def classify(node: SymbolicTree) -> Verdict:
 # public: free-tree predicates
 
 
-def _member_shared_is_center(fam: GlueFamily) -> bool:
-    """Structurally: does the glued member vertex have infinite degree?"""
-    return _bundle_infinite(fam.template, fam.shared)
+def infinite_degree(node: SymbolicTree, addr: Address) -> bool:
+    """Does the merged vertex at ``addr`` have infinite degree, that is,
+    does one of its copies sit at a star center?  Structural: family
+    members are read off the template."""
+    return any(
+        isinstance(piece, Star) and local == (CENTER,)
+        for _, piece, local, _ in copies(node, addr, member_shape)
+    )
 
 
-def _bundle_infinite(node: SymbolicTree, addr: Address) -> bool:
-    """Does the merged vertex at ``addr`` contain a star center?"""
-    head, rest = addr[0], addr[1:]
-    if isinstance(node, Finite) or isinstance(node, Ray):
-        return False
-    if isinstance(node, Star):
-        return head == ("center",)
-    if isinstance(node, GlueFinite):
-        if head == ("base",):
-            if _bundle_infinite(node.base, rest):
-                return True
-            return any(
-                att.site == rest and _bundle_infinite(att.part, att.shared)
-                for att in node.attachments
-            )
-        att = node.attachments[head[1]]
-        if _bundle_infinite(att.part, rest):
-            return True
-        if rest == att.shared:
-            if _bundle_infinite(node.base, att.site):
-                return True
-            return any(
-                o is not att and o.site == att.site
-                and _bundle_infinite(o.part, o.shared)
-                for o in node.attachments
-            )
-        return False
-    if isinstance(node, GlueFamily):
-        if head == ("base",):
-            if _bundle_infinite(node.base, rest):
-                return True
-            if len(rest) == 1 and site_of_base_step(node, rest[0]) is not None:
-                return _bundle_infinite(node.template, node.shared)
-            return False
-        if _bundle_infinite(node.template, rest):
-            return True
-        if rest == node.shared:
-            return _bundle_infinite(
-                node.base, (site_base_step(node, head[1]),)
-            )
-        return False
-    if isinstance(node, ScaledLabels):
-        return _bundle_infinite(node.inner, addr)
-    return False
+def _piece_adjacent(piece, x: Address, y: Address) -> bool:
+    ((kx, *ax),), ((ky, *ay),) = x, y
+    if isinstance(piece, Finite):
+        return ay[0] in piece.tree.adjacency[ax[0]]
+    if isinstance(piece, Ray):
+        return abs(ax[0] - ay[0]) == 1
+    return {kx, ky} == {"center", "leaf"}
 
 
 def _adjacent(node: SymbolicTree, a: Address, b: Address) -> bool:
-    """Structural adjacency between two canonical addresses in ``node``."""
-    if isinstance(node, Finite):
-        if len(a) != 1 or len(b) != 1:
-            return False
-        return b[0][1] in node.tree.adjacency.get(a[0][1], ())
-    if isinstance(node, Ray):
-        if len(a) != 1 or len(b) != 1 or a[0][0] != "ray" or b[0][0] != "ray":
-            return False
-        return abs(a[0][1] - b[0][1]) == 1
-    if isinstance(node, Star):
-        if len(a) != 1 or len(b) != 1:
-            return False
-        return (a[0] == ("center",) and b[0][0] == "leaf") or (
-            b[0] == ("center",) and a[0][0] == "leaf"
-        )
-    if isinstance(node, GlueFinite):
-        if a[0] == ("base",) and b[0] == ("base",):
-            return _adjacent(node.base, a[1:], b[1:])
-        if a[0][0] == "attach" and b[0][0] == "attach" and a[0] == b[0]:
-            return _adjacent(node.attachments[a[0][1]].part, a[1:], b[1:])
-        for x, y in ((a, b), (b, a)):
-            if x[0][0] == "attach" and y[0] == ("base",):
-                att = node.attachments[x[0][1]]
-                if y[1:] == att.site:
-                    return _adjacent(att.part, x[1:], att.shared)
-        return False
-    if isinstance(node, GlueFamily):
-        if a[0] == ("base",) and b[0] == ("base",):
-            return _adjacent(node.base, a[1:], b[1:])
-        if a[0][0] == "member" and b[0][0] == "member" and a[0] == b[0]:
-            return _adjacent(node.template, a[1:], b[1:])
-        for x, y in ((a, b), (b, a)):
-            if x[0][0] == "member" and y[0] == ("base",):
-                if y[1:] == (site_base_step(node, x[0][1]),):
-                    return _adjacent(node.template, x[1:], node.shared)
-        return False
-    if isinstance(node, ScaledLabels):
-        return _adjacent(node.inner, a, b)
-    return False
+    """Structural adjacency between two merged vertices of ``node``: an edge
+    lies inside one piece, so some copies of both share a piece there."""
+    bs = [(p, local) for p, _, local, _ in copies(node, b, member_shape)]
+    return any(
+        p == q and _piece_adjacent(piece, local, other)
+        for p, piece, local, _ in copies(node, a, member_shape)
+        for q, other in bs
+    )
 
 
-def _neighbor_bundle_infinite(node: SymbolicTree, addr: Address) -> bool:
+def _neighbor_infinite_degree(node: SymbolicTree, addr: Address) -> bool:
     """Is some neighbor of ``addr`` (within node's merged view) a merged
     vertex of infinite degree?"""
     head, rest = addr[0], addr[1:]
@@ -716,28 +445,28 @@ def _neighbor_bundle_infinite(node: SymbolicTree, addr: Address) -> bool:
         return head[0] == "leaf"  # the center
     if isinstance(node, GlueFinite):
         if head == ("base",):
-            if _neighbor_bundle_infinite(node.base, rest):
+            if _neighbor_infinite_degree(node.base, rest):
                 return True
             for att in node.attachments:
                 if att.site != rest and _adjacent(node.base, rest, att.site) \
-                        and _bundle_infinite(node, (("base",),) + att.site):
+                        and infinite_degree(node, (("base",),) + att.site):
                     return True
-                if att.site == rest and _neighbor_bundle_infinite(
+                if att.site == rest and _neighbor_infinite_degree(
                     att.part, att.shared
                 ):
                     return True
             return False
         att = node.attachments[head[1]]
-        if _neighbor_bundle_infinite(att.part, rest):
+        if _neighbor_infinite_degree(att.part, rest):
             return True
         if rest != att.shared and _adjacent(att.part, rest, att.shared) \
-                and _bundle_infinite(node, (("base",),) + att.site):
+                and infinite_degree(node, (("base",),) + att.site):
             return True
         return False
     if isinstance(node, GlueFamily):
-        member_inf = _member_shared_is_center(node)
+        member_inf = infinite_degree(node.template, node.shared)
         if head == ("base",):
-            if _neighbor_bundle_infinite(node.base, rest):
+            if _neighbor_infinite_degree(node.base, rest):
                 return True
             if member_inf and len(rest) == 1:
                 step = rest[0]
@@ -750,19 +479,19 @@ def _neighbor_bundle_infinite(node: SymbolicTree, addr: Address) -> bool:
                     if nb >= 1 and site_of_base_step(node, ("ray", nb)) is not None:
                         return True
             if len(rest) == 1 and site_of_base_step(node, rest[0]) is not None:
-                if _neighbor_bundle_infinite(node.template, node.shared):
+                if _neighbor_infinite_degree(node.template, node.shared):
                     return True
             return False
         m = head[1]
-        if _neighbor_bundle_infinite(node.template, rest):
+        if _neighbor_infinite_degree(node.template, rest):
             return True
         if rest != node.shared and _adjacent(node.template, rest, node.shared):
             site = (site_base_step(node, m),)
-            if _bundle_infinite(node, (("base",),) + site):
+            if infinite_degree(node, (("base",),) + site):
                 return True
         return False
     if isinstance(node, ScaledLabels):
-        return _neighbor_bundle_infinite(node.inner, addr)
+        return _neighbor_infinite_degree(node.inner, addr)
     return False
 
 
@@ -788,7 +517,7 @@ def _adjacent_inf_pair(node: SymbolicTree, prefix: Address) -> str | None:
                 return w
         for att in node.attachments:
             site_abs = (("base",),) + att.site
-            if _bundle_infinite(node, site_abs) and _neighbor_bundle_infinite(
+            if infinite_degree(node, site_abs) and _neighbor_infinite_degree(
                 node, site_abs
             ):
                 return (
@@ -803,7 +532,7 @@ def _adjacent_inf_pair(node: SymbolicTree, prefix: Address) -> str | None:
         w = _adjacent_inf_pair(node.template, prefix + (("member", 1),))
         if w:
             return w
-        if _member_shared_is_center(node):
+        if infinite_degree(node.template, node.shared):
             if isinstance(node.base, Star):
                 addr = prefix + (("base",), ("center",))
                 return (
@@ -816,7 +545,7 @@ def _adjacent_inf_pair(node: SymbolicTree, prefix: Address) -> str | None:
                     f"consecutive ray vertices from {format_address(addr)} "
                     "all carry glued member centers"
                 )
-            if _neighbor_bundle_infinite(node.template, node.shared):
+            if _neighbor_infinite_degree(node.template, node.shared):
                 addr = prefix + (("base",), site_base_step(node, 1))
                 return (
                     f"glued member center {format_address(addr)} has an "
@@ -824,7 +553,7 @@ def _adjacent_inf_pair(node: SymbolicTree, prefix: Address) -> str | None:
                 )
         else:
             site1 = (("base",), site_base_step(node, 1))
-            if _bundle_infinite(node, site1) and _neighbor_bundle_infinite(
+            if infinite_degree(node, site1) and _neighbor_infinite_degree(
                 node, site1
             ):
                 return (
@@ -867,9 +596,10 @@ def isolated_points(node: SymbolicTree) -> IsolatedPointsReport:
     label (which are themselves isolated).  Everything else is isolated.
     """
     validate_symbolic(node)
-    check_non_degenerate(node)
-    records: list[_CenterRecord] = []
-    _center_records(node, (), {}, {}, ONE, None, None, records)
+    member = _member_memo()
+    ps = _concrete_pieces(node, member)
+    _raise_degenerate(ps)
+    records = _center_records(node, ps, member)
 
     classes: list[VertexClass] = []
     seen_groups: dict[str, list[_CenterRecord]] = {}
@@ -881,7 +611,7 @@ def isolated_points(node: SymbolicTree) -> IsolatedPointsReport:
             seen_groups.setdefault(rec.group, []).append(rec)
 
     def emit(rec: _CenterRecord, suffix: str = "") -> None:
-        inf, desc, samples = _combine(list(rec.bags))
+        inf, desc, samples = _combine(rec.bags)
         acc = _is_accumulation(rec)
         detail = (
             f"label {format_rational(rec.label)}; neighbor labels: {desc}"

@@ -20,8 +20,9 @@ sequence; ``substitute`` produces one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache, cached_property
 from math import floor, lcm
 
 from .errors import InvalidDeclaration
@@ -76,12 +77,35 @@ def val_is_concrete(v) -> bool:
     return not isinstance(v, Ref)
 
 
-def resolve_val(v, bindings: dict[str, Fraction]) -> Fraction:
+def resolve_val(v, bindings: dict[str, Fraction]):
+    """``v`` with every ref resolved: a parameter, a sequence or a tuple of
+    them (anything else is returned as is)."""
     if isinstance(v, Ref):
         if v.source not in bindings:
             raise InvalidDeclaration(f"unresolved ref {v.source!r}")
         return v.coeff * bindings[v.source]
+    if isinstance(v, LabelSeq):
+        return v.substitute(bindings)
+    if isinstance(v, tuple):
+        return tuple(resolve_val(x, bindings) for x in v)
     return v
+
+
+@cache
+def field_names(cls) -> tuple[str, ...]:
+    """The dataclass field names of ``cls``, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
+def holds_refs(value) -> bool:
+    """Does a parameter, a sequence or a tuple of them contain a Ref?"""
+    if isinstance(value, Ref):
+        return True
+    if isinstance(value, LabelSeq):
+        return value.has_refs()
+    if isinstance(value, tuple):
+        return any(holds_refs(v) for v in value)
+    return False
 
 
 def _scale_val(v, factor):
@@ -130,11 +154,6 @@ class LabelSeq:
 
     def is_zero(self, n: int) -> bool:
         return self.term(n) == 0
-
-    def scan_window(self) -> int:
-        """Index bound W such that zero patterns repeat beyond it."""
-        n0, q = self.zero_profile()
-        return n0 + 2 * q
 
     def has_zero_term(self) -> bool:
         return self.zero_in_progression(1, 1)
@@ -197,11 +216,22 @@ class LabelSeq:
     def zero_profile(self) -> tuple[int, int]:
         raise NotImplementedError
 
+    # -- refs, derived from the dataclass fields of each kind -----------------
+
+    @cached_property
+    def _refs(self) -> bool:  # every term() asks, so it is computed once
+        return any(holds_refs(getattr(self, n)) for n in field_names(type(self)))
+
     def has_refs(self) -> bool:
-        raise NotImplementedError
+        return self._refs
 
     def substitute(self, bindings: dict[str, Fraction]) -> "LabelSeq":
-        raise NotImplementedError
+        """The same kind with every ref resolved against ``bindings``."""
+        if not self._refs:
+            return self
+        return type(self)(
+            *(resolve_val(getattr(self, n), bindings) for n in field_names(type(self)))
+        )
 
     def scale(self, factor) -> "LabelSeq":
         raise NotImplementedError
@@ -258,12 +288,6 @@ class Const(LabelSeq):
     def zero_profile(self):
         return (0, 1)
 
-    def has_refs(self):
-        return not val_is_concrete(self.c)
-
-    def substitute(self, bindings):
-        return Const(resolve_val(self.c, bindings))
-
     def scale(self, factor):
         return Const(_scale_val(self.c, factor))
 
@@ -308,12 +332,6 @@ class FiniteSupport(LabelSeq):
 
     def zero_profile(self):
         return (len(self.prefix), 1)
-
-    def has_refs(self):
-        return False
-
-    def substitute(self, bindings):
-        return self
 
     def scale(self, factor):
         if isinstance(factor, Ref):
@@ -364,12 +382,6 @@ class Harmonic(LabelSeq):
 
     def zero_profile(self):
         return (0, 1)  # all zero if a == 0, else never zero
-
-    def has_refs(self):
-        return not val_is_concrete(self.a)
-
-    def substitute(self, bindings):
-        return Harmonic(resolve_val(self.a, bindings))
 
     def scale(self, factor):
         return Harmonic(_scale_val(self.a, factor))
@@ -427,12 +439,6 @@ class Geometric(LabelSeq):
 
     def zero_profile(self):
         return (0, 1)
-
-    def has_refs(self):
-        return not (val_is_concrete(self.a) and val_is_concrete(self.r))
-
-    def substitute(self, bindings):
-        return Geometric(resolve_val(self.a, bindings), resolve_val(self.r, bindings))
 
     def scale(self, factor):
         return Geometric(_scale_val(self.a, factor), self.r)
@@ -516,12 +522,6 @@ class PrimeRecip(LabelSeq):
     def zero_profile(self):
         return (0, 1)
 
-    def has_refs(self):
-        return not val_is_concrete(self.a)
-
-    def substitute(self, bindings):
-        return PrimeRecip(resolve_val(self.a, bindings))
-
     def scale(self, factor):
         return PrimeRecip(_scale_val(self.a, factor))
 
@@ -580,12 +580,6 @@ class Modulated(LabelSeq):
     def zero_profile(self):
         thresholds, periods = zip(*(s.zero_profile() for s in self.seqs))
         return (self.period * (max(thresholds) + 1), self.period * lcm(*periods))
-
-    def has_refs(self):
-        return any(s.has_refs() for s in self.seqs)
-
-    def substitute(self, bindings):
-        return Modulated(self.period, tuple(s.substitute(bindings) for s in self.seqs))
 
     def scale(self, factor):
         return Modulated(self.period, tuple(s.scale(factor) for s in self.seqs))
@@ -671,12 +665,6 @@ class Custom(LabelSeq):
 
     def zero_profile(self):
         return (len(self.prefix), 2)
-
-    def has_refs(self):
-        return False
-
-    def substitute(self, bindings):
-        return self
 
     def scale(self, factor):
         if isinstance(factor, Ref):

@@ -51,6 +51,8 @@ from .seqs import (
     PrimeRecip,
     Ref,
     as_val,
+    field_names,
+    holds_refs,
     nth_prime,
     resolve_val,
     val_is_concrete,
@@ -60,6 +62,10 @@ Address = tuple[tuple, ...]
 
 TRUNCATE_SIZE_CAP = 200_000
 SPOT_CHECK_MEMBERS = 16
+
+ONE = Fraction(1)
+BASE = ("base",)
+CENTER = ("center",)
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +117,22 @@ class SymbolicTree:
 class Finite(SymbolicTree):
     tree: LabeledTree
 
+    kind = "finite"
+
 
 @dataclass(frozen=True)
 class Ray(SymbolicTree):
     labels: LabelSeq
+
+    kind = "ray"
 
 
 @dataclass(frozen=True)
 class Star(SymbolicTree):
     center_label: Fraction | Ref
     leaf_labels: LabelSeq
+
+    kind = "star"
 
     def __post_init__(self):
         object.__setattr__(self, "center_label", as_val(self.center_label))
@@ -140,6 +152,8 @@ class GlueFinite(SymbolicTree):
     base: SymbolicTree
     attachments: tuple[Attachment, ...]
 
+    kind = "glue_finite"
+
     def __post_init__(self):
         object.__setattr__(self, "attachments", tuple(self.attachments))
 
@@ -155,6 +169,8 @@ class GlueFamily(SymbolicTree):
     template: SymbolicTree
     shared: Address
     envelope: LabelSeq
+
+    kind = "glue_family"
 
     def __post_init__(self):
         if isinstance(self.base, Ray):
@@ -176,6 +192,8 @@ class ScaledLabels(SymbolicTree):
     inner: SymbolicTree
     factor: Fraction | Ref
 
+    kind = "scaled"
+
     def __post_init__(self):
         object.__setattr__(self, "factor", as_val(self.factor))
         if val_is_concrete(self.factor) and self.factor <= 0:
@@ -184,18 +202,22 @@ class ScaledLabels(SymbolicTree):
             )
 
 
+NODE_KINDS = {
+    cls.kind: cls for cls in (Finite, Ray, Star, GlueFinite, GlueFamily, ScaledLabels)
+}
+PIECES = (Finite, Ray, Star)
+
+
 def default_shared(node: SymbolicTree) -> Address:
-    """Canonical shared vertex when a gluing does not name one."""
-    if isinstance(node, Finite):
-        return (("vertex", node.tree.vertices[0]),)
-    if isinstance(node, Ray):
-        return (("ray", 1),)
-    if isinstance(node, Star):
-        return (("center",),)
-    if isinstance(node, (GlueFinite, GlueFamily)):
-        return (("base",),) + tuple(default_shared(node.base))
-    if isinstance(node, ScaledLabels):
-        return default_shared(node.inner)
+    """Canonical shared vertex when a gluing does not name one: the first
+    vertex of the base-most piece."""
+    for prefix, piece in walk_constructors(node):
+        if isinstance(piece, Finite):
+            return prefix + (("vertex", piece.tree.vertices[0]),)
+        if isinstance(piece, Ray):
+            return prefix + (("ray", 1),)
+        if isinstance(piece, Star):
+            return prefix + (CENTER,)
     raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
 
 
@@ -203,38 +225,37 @@ def default_shared(node: SymbolicTree) -> Address:
 # sites
 
 
+_SITE_PROGRESSIONS = {"leaves": (1, 1), "all": (1, 1), "even": (2, 2), "odd": (1, 2)}
+
+
+def _site_progression(fam: GlueFamily) -> tuple[str, LabelSeq, int, int]:
+    """(step kind, base label sequence, start, step): member m is glued at
+    base index start + (m - 1) * step."""
+    start, step = _SITE_PROGRESSIONS[fam.sites]
+    if isinstance(fam.base, Star):
+        return "leaf", fam.base.leaf_labels, start, step
+    return "ray", fam.base.labels, start, step
+
+
 def site_base_step(fam: GlueFamily, m: int) -> tuple:
     """Base-local address step of member m's glue site."""
     if m < 1:
         raise InvalidDeclaration(f"member index {m} out of range")
-    if isinstance(fam.base, Star):
-        return ("leaf", m)
-    if fam.sites == "all":
-        return ("ray", m)
-    if fam.sites == "even":
-        return ("ray", 2 * m)
-    return ("ray", 2 * m - 1)  # odd
+    kind, _, start, stride = _site_progression(fam)
+    return (kind, start + (m - 1) * stride)
 
 
 def site_of_base_step(fam: GlueFamily, step: tuple) -> int | None:
     """Inverse of site_base_step: member index hosted at a base vertex."""
-    if isinstance(fam.base, Star):
-        return step[1] if step[0] == "leaf" else None
-    if step[0] != "ray":
+    kind, _, start, stride = _site_progression(fam)
+    if step[0] != kind or step[1] < start or (step[1] - start) % stride:
         return None
-    n = step[1]
-    if fam.sites == "all":
-        return n
-    if fam.sites == "even":
-        return n // 2 if n % 2 == 0 else None
-    return (n + 1) // 2 if n % 2 == 1 else None
+    return (step[1] - start) // stride + 1
 
 
 def site_label(fam: GlueFamily, m: int) -> Fraction:
-    step = site_base_step(fam, m)
-    if isinstance(fam.base, Star):
-        return fam.base.leaf_labels.term(m)
-    return fam.base.labels.term(step[1])
+    _, seq, _, _ = _site_progression(fam)
+    return seq.term(site_base_step(fam, m)[1])
 
 
 def member_bindings(fam: GlueFamily, m: int) -> dict[str, Fraction]:
@@ -246,35 +267,19 @@ def substitute_node(node: SymbolicTree, bindings: dict[str, Fraction]) -> Symbol
     are left untouched (their refs belong to the nested family)."""
     if isinstance(node, Finite):
         return node
-    if isinstance(node, Ray):
-        return Ray(node.labels.substitute(bindings))
-    if isinstance(node, Star):
-        return Star(
-            resolve_val(node.center_label, bindings),
-            node.leaf_labels.substitute(bindings),
-        )
-    if isinstance(node, GlueFinite):
-        return GlueFinite(
-            substitute_node(node.base, bindings),
-            tuple(
-                Attachment(a.site, substitute_node(a.part, bindings), a.shared)
-                for a in node.attachments
-            ),
-        )
-    if isinstance(node, GlueFamily):
-        return GlueFamily(
-            substitute_node(node.base, bindings),
-            node.sites,
-            node.template,
-            node.shared,
-            node.envelope.substitute(bindings),
-        )
-    if isinstance(node, ScaledLabels):
-        return ScaledLabels(
-            substitute_node(node.inner, bindings),
-            resolve_val(node.factor, bindings),
-        )
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+    return type(node)(
+        *(_substitute_field(n, getattr(node, n), bindings) for n in field_names(type(node)))
+    )
+
+
+def _substitute_field(name: str, value, bindings: dict[str, Fraction]):
+    if name in ("sites", "site", "shared", "template"):
+        return value  # selectors, addresses and a nested family's own template
+    if isinstance(value, (SymbolicTree, Attachment)):
+        return substitute_node(value, bindings)
+    if name == "attachments":
+        return tuple(substitute_node(a, bindings) for a in value)
+    return resolve_val(value, bindings)
 
 
 def instantiate(fam: GlueFamily, m: int) -> SymbolicTree:
@@ -293,10 +298,7 @@ def member_window(fam: GlueFamily) -> list[int]:
     from the underlying sequences, so checking one window beyond the combined
     threshold covers all members exactly.
     """
-    if isinstance(fam.base, Star):
-        n0s, qs = fam.base.leaf_labels.zero_profile()
-    else:
-        n0s, qs = fam.base.labels.zero_profile()
+    n0s, qs = _site_progression(fam)[1].zero_profile()
     n0e, qe = fam.envelope.zero_profile()
     # site m maps to base index m, 2m or 2m-1, all >= m, and the map is
     # periodic mod qs; +1 covers the neighbor indices site(m) +- 1 as well
@@ -306,117 +308,172 @@ def member_window(fam: GlueFamily) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# structural navigation
+# traversal: the one place that knows how constructors compose
+#
+# Every vertex lives in a *piece* (a Finite, Ray or Star) under a one-step
+# piece-local address (``vertex:a``, ``ray:n``, ``center``, ``leaf:k``),
+# prefixed by the ``base`` / ``attach:i`` / ``member:m`` steps leading to the
+# piece.  A gluing merges a base site with the shared vertex of a part, so one
+# vertex of the glued tree has a copy in each piece the gluings join, and
+# ScaledLabels multiplies the labels of every piece below it.  ``member``
+# supplies family member m: ``instantiate`` for questions about labels,
+# ``member_shape`` for purely structural ones.
 
 
-def has_vertex(node: SymbolicTree, addr: Address) -> bool:
-    """Does the address resolve structurally (labels not consulted)?"""
-    if not addr:
+def member_shape(fam: GlueFamily, m: int) -> SymbolicTree:
+    """Member m's structure: the template itself, refs left unresolved."""
+    return fam.template
+
+
+def _times(scale, factor):
+    """scale * factor, or None once an unresolved ref factor is met."""
+    if scale is None or not val_is_concrete(factor):
+        return None
+    return scale * factor
+
+
+def _child(node: SymbolicTree, step: tuple, member):
+    """The sub-structure a gluing holds under one address step, else None."""
+    if step == BASE:
+        return node.base
+    if isinstance(node, GlueFinite) and step[0] == "attach":
+        if 0 <= step[1] < len(node.attachments):
+            return node.attachments[step[1]].part
+    elif isinstance(node, GlueFamily) and step[0] == "member" and step[1] >= 1:
+        return member(node, step[1])
+    return None
+
+
+def _is_local_vertex(piece, local: Address) -> bool:
+    if len(local) != 1:
         return False
-    head, rest = addr[0], addr[1:]
-    if isinstance(node, Finite):
-        return not rest and head[0] == "vertex" and head[1] in node.tree.labels
-    if isinstance(node, Ray):
-        return not rest and head[0] == "ray" and head[1] >= 1
-    if isinstance(node, Star):
-        if rest:
-            return False
-        return head == ("center",) or (head[0] == "leaf" and head[1] >= 1)
+    step = local[0]
+    if isinstance(piece, Finite):
+        return step[0] == "vertex" and step[1] in piece.tree.labels
+    if isinstance(piece, Ray):
+        return step[0] == "ray" and step[1] >= 1
+    return step == CENTER or (step[0] == "leaf" and step[1] >= 1)
+
+
+def _glue_point(node: SymbolicTree, step: tuple) -> tuple[Address, Address]:
+    """(shared address in the part, site address in the base) of the part
+    under ``step``."""
     if isinstance(node, GlueFinite):
-        if head == ("base",):
-            return has_vertex(node.base, rest)
-        if head[0] == "attach" and 0 <= head[1] < len(node.attachments):
-            return has_vertex(node.attachments[head[1]].part, rest)
-        return False
-    if isinstance(node, GlueFamily):
-        if head == ("base",):
-            return has_vertex(node.base, rest)
-        if head[0] == "member" and head[1] >= 1:
-            return has_vertex(node.template, rest)
-        return False
-    if isinstance(node, ScaledLabels):
-        return has_vertex(node.inner, addr)
-    return False
+        att = node.attachments[step[1]]
+        return att.shared, att.site
+    return node.shared, (site_base_step(node, step[1]),)
 
 
-def label_at(node: SymbolicTree, addr: Address) -> Fraction:
-    """Exact label of the vertex at ``addr`` (node must be concrete there)."""
-    if not addr:
-        raise UnknownVertex(format_address(addr))
-    head, rest = addr[0], addr[1:]
-    if isinstance(node, Finite):
-        if rest or head[0] != "vertex" or head[1] not in node.tree.labels:
-            raise UnknownVertex(format_address(addr))
-        return node.tree.labels[head[1]]
-    if isinstance(node, Ray):
-        if rest or head[0] != "ray" or head[1] < 1:
-            raise UnknownVertex(format_address(addr))
-        return node.labels.term(head[1])
-    if isinstance(node, Star):
-        if rest:
-            raise UnknownVertex(format_address(addr))
-        if head == ("center",):
-            if not val_is_concrete(node.center_label):
-                raise InvalidDeclaration("center label is an unresolved ref")
-            return node.center_label
-        if head[0] == "leaf" and head[1] >= 1:
-            return node.leaf_labels.term(head[1])
-        raise UnknownVertex(format_address(addr))
+def _glued_at(node: SymbolicTree, sites) -> list[tuple[tuple, Address]]:
+    """(step, shared address) of every part glued onto one of the base
+    addresses in ``sites``."""
     if isinstance(node, GlueFinite):
-        if head == ("base",):
-            return label_at(node.base, rest)
-        if head[0] == "attach" and 0 <= head[1] < len(node.attachments):
-            return label_at(node.attachments[head[1]].part, rest)
-        raise UnknownVertex(format_address(addr))
-    if isinstance(node, GlueFamily):
-        if head == ("base",):
-            return label_at(node.base, rest)
-        if head[0] == "member" and head[1] >= 1:
-            return label_at(instantiate(node, head[1]), rest)
-        raise UnknownVertex(format_address(addr))
-    if isinstance(node, ScaledLabels):
-        if not val_is_concrete(node.factor):
-            raise InvalidDeclaration("scale factor is an unresolved ref")
-        return node.factor * label_at(node.inner, addr)
-    raise UnknownVertex(format_address(addr))
+        return [
+            (("attach", i), a.shared)
+            for i, a in enumerate(node.attachments)
+            if a.site in sites
+        ]
+    found = (site_of_base_step(node, s[0]) for s in sites if len(s) == 1)
+    return [(("member", m), node.shared) for m in found if m is not None]
 
 
-def sup_labels(node: SymbolicTree) -> Fraction:
-    """Supremum of all labels (envelopes bound family members by contract)."""
-    if isinstance(node, Finite):
-        return max(node.tree.labels.values())
-    if isinstance(node, Ray):
-        return node.labels.sup()
-    if isinstance(node, Star):
-        if not val_is_concrete(node.center_label):
-            raise InvalidDeclaration("center label is an unresolved ref")
-        return max(node.center_label, node.leaf_labels.sup())
+def pieces(node: SymbolicTree, member=instantiate, prefix: Address = (), scale=ONE):
+    """Yield (prefix, piece, scale) for every Finite, Ray and Star in address
+    order, and (prefix, family, scale) for each GlueFamily between its base
+    and its ``member_window`` members.  ``scale`` multiplies the piece's
+    labels (None below an unresolved ref factor).  ``member=None`` stops at
+    each family without entering its members."""
+    while isinstance(node, ScaledLabels):
+        scale, node = _times(scale, node.factor), node.inner
+    if isinstance(node, PIECES):
+        yield prefix, node, scale
+        return
+    yield from pieces(node.base, member, prefix + (BASE,), scale)
     if isinstance(node, GlueFinite):
-        return max(
-            [sup_labels(node.base)] + [sup_labels(a.part) for a in node.attachments]
-        )
-    if isinstance(node, GlueFamily):
-        return max(sup_labels(node.base), node.envelope.sup())
-    if isinstance(node, ScaledLabels):
-        if not val_is_concrete(node.factor):
-            raise InvalidDeclaration("scale factor is an unresolved ref")
-        return node.factor * sup_labels(node.inner)
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+        for i, a in enumerate(node.attachments):
+            yield from pieces(a.part, member, prefix + (("attach", i),), scale)
+        return
+    yield prefix, node, scale
+    if member is not None:
+        for m in member_window(node):
+            yield from pieces(member(node, m), member, prefix + (("member", m),), scale)
+
+
+def _locate(node: SymbolicTree, addr: Address, member=instantiate):
+    """(piece, piece-local address, scale) of the copy ``addr`` names,
+    without following gluings."""
+    rest, scale = addr, ONE
+    while not isinstance(node, PIECES):
+        if isinstance(node, ScaledLabels):
+            scale, node = _times(scale, node.factor), node.inner
+            continue
+        child = _child(node, rest[0], member) if rest else None
+        if child is None:
+            raise UnknownVertex(format_address(addr))
+        node, rest = child, rest[1:]
+    if not _is_local_vertex(node, rest):
+        raise UnknownVertex(format_address(addr))
+    return node, rest, scale
+
+
+def copies(node: SymbolicTree, addr: Address, member=instantiate) -> list:
+    """Every piece-local copy (prefix, piece, local address, scale) of the
+    merged vertex at ``addr``: its own piece first, then the pieces glued to
+    it, innermost gluing first.  Raises UnknownVertex when ``addr``, or a glue
+    address met on the way, does not resolve."""
+    return _copies(node, addr, (), ONE, member)
+
+
+def _copies(node, addr, prefix, scale, member):
+    while isinstance(node, ScaledLabels):
+        scale, node = _times(scale, node.factor), node.inner
+    if isinstance(node, PIECES):
+        if not _is_local_vertex(node, addr):
+            raise UnknownVertex(format_address(prefix + addr))
+        return [(prefix, node, addr, scale)]
+    child = _child(node, addr[0], member) if addr else None
+    if child is None:
+        raise UnknownVertex(format_address(prefix + addr))
+    step = addr[0]
+    here = prefix + (step,)
+    out = _copies(child, addr[1:], here, scale, member)
+    if step == BASE:
+        base = out
+    else:
+        shared, site = _glue_point(node, step)
+        if here + shared not in {p + local for p, _, local, _ in out}:
+            return out
+        base = _copies(node.base, site, prefix + (BASE,), scale, member)
+        out += base
+    sites = {p[len(prefix) + 1:] + local for p, _, local, _ in base}
+    for s, shared in _glued_at(node, sites):
+        if s != step:
+            out += _copies(_child(node, s, member), shared, prefix + (s,), scale, member)
+    return out
+
+
+def canonical(node: SymbolicTree, addr: Address) -> Address:
+    """The address a merged vertex is reported under: its copy reached
+    through ``base`` at every gluing it takes part in."""
+    return min(
+        (p + local for p, _, local, _ in copies(node, addr, member_shape)),
+        key=lambda a: [step != BASE for step in a],
+    )
 
 
 def walk_constructors(node: SymbolicTree, prefix: Address = ()):
     """Yield (address prefix, constructor node) over the whole structure,
     entering family templates at the representative member index 1."""
     yield prefix, node
-    if isinstance(node, GlueFinite):
-        yield from walk_constructors(node.base, prefix + (("base",),))
+    if isinstance(node, ScaledLabels):
+        yield from walk_constructors(node.inner, prefix)
+    elif isinstance(node, GlueFinite):
+        yield from walk_constructors(node.base, prefix + (BASE,))
         for i, a in enumerate(node.attachments):
             yield from walk_constructors(a.part, prefix + (("attach", i),))
     elif isinstance(node, GlueFamily):
-        yield from walk_constructors(node.base, prefix + (("base",),))
+        yield from walk_constructors(node.base, prefix + (BASE,))
         yield from walk_constructors(node.template, prefix + (("member", 1),))
-    elif isinstance(node, ScaledLabels):
-        yield from walk_constructors(node.inner, prefix)
 
 
 def contains_kind(node: SymbolicTree, kind) -> bool:
@@ -431,6 +488,54 @@ def first_of_kind(node: SymbolicTree, kind):
 
 
 # ---------------------------------------------------------------------------
+# labels
+
+
+def has_vertex(node: SymbolicTree, addr: Address) -> bool:
+    """Does the address resolve structurally (labels not consulted)?"""
+    try:
+        _locate(node, addr, member_shape)
+    except UnknownVertex:
+        return False
+    return True
+
+
+def _concrete(value, what: str) -> Fraction:
+    if value is None or not val_is_concrete(value):
+        raise InvalidDeclaration(f"{what} is an unresolved ref")
+    return value
+
+
+def label_at(node: SymbolicTree, addr: Address) -> Fraction:
+    """Exact label of the vertex at ``addr`` (node must be concrete there)."""
+    piece, ((kind, *arg),), scale = _locate(node, addr)
+    if isinstance(piece, Finite):
+        label = piece.tree.labels[arg[0]]
+    elif kind == "center":
+        label = _concrete(piece.center_label, "center label")
+    else:
+        seq = piece.labels if isinstance(piece, Ray) else piece.leaf_labels
+        label = seq.term(arg[0])
+    return _concrete(scale, "scale factor") * label
+
+
+def sup_labels(node: SymbolicTree) -> Fraction:
+    """Supremum of all labels (envelopes bound family members by contract)."""
+    sups = []
+    for _, piece, scale in pieces(node, None):
+        if isinstance(piece, Finite):
+            sup = max(piece.tree.labels.values())
+        elif isinstance(piece, Ray):
+            sup = piece.labels.sup()
+        elif isinstance(piece, Star):
+            sup = max(_concrete(piece.center_label, "center label"), piece.leaf_labels.sup())
+        else:
+            sup = piece.envelope.sup()
+        sups.append(_concrete(scale, "scale factor") * sup)
+    return max(sups)
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -439,118 +544,91 @@ def validate_symbolic(node: SymbolicTree) -> None:
     (exactly where concrete; family members spot-checked over the certified
     window plus the first few indices), envelopes dominate member suprema.
     """
-    if isinstance(node, (Finite, Ray, Star)):
-        return
-    if isinstance(node, ScaledLabels):
-        validate_symbolic(node.inner)
-        return
-    if isinstance(node, GlueFinite):
-        validate_symbolic(node.base)
-        for i, a in enumerate(node.attachments):
-            if not has_vertex(node.base, a.site):
-                raise UnknownVertex(format_address(a.site))
-            if not has_vertex(a.part, a.shared):
-                raise UnknownVertex(format_address(a.shared))
-            validate_symbolic(a.part)
-            try:
-                base_val = label_at(node.base, a.site)
-                part_val = label_at(a.part, a.shared)
-            except InvalidDeclaration:
-                continue  # refs present; checked per-member at instantiation
-            if base_val != part_val:
-                raise GlueLabelMismatch(format_address(a.site), base_val, part_val)
-        return
-    if isinstance(node, GlueFamily):
-        validate_symbolic(node.base)
-        if not has_vertex(node.template, node.shared):
-            raise UnknownVertex(format_address(node.shared))
-        _validate_template_ratio_refs(node)
-        concrete = not (
-            _node_has_free_refs(node.base)
-            or node.envelope.has_refs()
-        )
-        if concrete:
-            checks = sorted(set(member_window(node)) | set(range(1, SPOT_CHECK_MEMBERS + 1)))
-            for m in checks:
-                member = instantiate(node, m)
-                validate_symbolic(member)
-                want = site_label(node, m)
-                got = label_at(member, node.shared)
-                if want != got:
-                    raise GlueLabelMismatch(
-                        f"member:{m} at {format_address(node.shared)}", want, got
-                    )
-                if sup_labels(member) > node.envelope.term(m):
-                    raise InvalidDeclaration(
-                        f"envelope {node.envelope.describe()} does not dominate "
-                        f"member {m} (sup {format_rational(sup_labels(member))} > "
-                        f"{format_rational(node.envelope.term(m))})"
-                    )
-        return
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+    for prefix, n in walk_constructors(node):
+        if any(step[0] == "member" for step in prefix):
+            continue  # a template is checked through its instantiated members
+        if isinstance(n, GlueFinite):
+            for a in n.attachments:
+                _validate_glue(n.base, a.site, a.part, a.shared)
+        elif isinstance(n, GlueFamily):
+            _validate_family(n)
+        elif not isinstance(n, SymbolicTree):
+            raise InvalidDeclaration(f"unknown constructor {type(n).__name__}")
+
+
+def _validate_glue(base, site, part, shared) -> None:
+    if not has_vertex(base, site):
+        raise UnknownVertex(format_address(site))
+    if not has_vertex(part, shared):
+        raise UnknownVertex(format_address(shared))
+    try:
+        base_val = label_at(base, site)
+        part_val = label_at(part, shared)
+    except InvalidDeclaration:
+        return  # refs present; checked per-member at instantiation
+    if base_val != part_val:
+        raise GlueLabelMismatch(format_address(site), base_val, part_val)
+
+
+def _validate_family(fam: GlueFamily) -> None:
+    if not has_vertex(fam.template, fam.shared):
+        raise UnknownVertex(format_address(fam.shared))
+    _validate_template_ratio_refs(fam)
+    if _node_has_free_refs(fam):
+        return  # a nested family: its members are checked once instantiated
+    checks = sorted(set(member_window(fam)) | set(range(1, SPOT_CHECK_MEMBERS + 1)))
+    for m in checks:
+        member = instantiate(fam, m)
+        validate_symbolic(member)
+        want = site_label(fam, m)
+        got = label_at(member, fam.shared)
+        if want != got:
+            raise GlueLabelMismatch(
+                f"member:{m} at {format_address(fam.shared)}", want, got
+            )
+        if sup_labels(member) > fam.envelope.term(m):
+            raise InvalidDeclaration(
+                f"envelope {fam.envelope.describe()} does not dominate "
+                f"member {m} (sup {format_rational(sup_labels(member))} > "
+                f"{format_rational(fam.envelope.term(m))})"
+            )
 
 
 def _node_has_free_refs(node: SymbolicTree) -> bool:
-    """Refs not bound by a family inside ``node`` itself."""
-    if isinstance(node, Finite):
-        return False
-    if isinstance(node, Ray):
-        return node.labels.has_refs()
-    if isinstance(node, Star):
-        return (not val_is_concrete(node.center_label)) or node.leaf_labels.has_refs()
-    if isinstance(node, GlueFinite):
-        return _node_has_free_refs(node.base) or any(
-            _node_has_free_refs(a.part) for a in node.attachments
-        )
-    if isinstance(node, GlueFamily):
-        # template refs are bound by this family; base and envelope are not
-        return _node_has_free_refs(node.base) or node.envelope.has_refs()
-    if isinstance(node, ScaledLabels):
-        return (not val_is_concrete(node.factor)) or _node_has_free_refs(node.inner)
-    return False
+    """Refs not bound by a family inside ``node`` itself (a family binds its
+    template's refs; its base and envelope are outside them)."""
+    return any(
+        scale is None
+        or any(holds_refs(getattr(piece, n)) for n in field_names(type(piece)))
+        for _, piece, scale in pieces(node, None)
+    )
 
 
 def _validate_template_ratio_refs(fam: GlueFamily) -> None:
     """A geometric ratio ref needs every source value in (0, 1)."""
-    from .seqs import Geometric
-
-    def seqs_of(n: SymbolicTree):
-        for _, c in walk_constructors(n):
-            if isinstance(c, Ray):
-                yield from _leaf_seqs(c.labels)
-            elif isinstance(c, Star):
-                yield from _leaf_seqs(c.leaf_labels)
-            elif isinstance(c, GlueFamily):
-                yield from _leaf_seqs(c.envelope)
-
-    for s in seqs_of(fam.template):
+    for s in _template_seqs(fam.template):
         if isinstance(s, Geometric) and isinstance(s.r, Ref):
-            src = s.r
-            if src.source == "site_label":
-                if isinstance(fam.base, Star):
-                    seq, start, step = fam.base.leaf_labels, 1, 1
-                else:
-                    seq = fam.base.labels
-                    start, step = (2, 2) if fam.sites == "even" else (1, 2 if fam.sites == "odd" else 1)
-                if seq.has_refs():
-                    continue  # nested family: checked at instantiation
-                if seq.zero_in_progression(start, step) or src.coeff * seq.sup() >= 1:
-                    raise InvalidDeclaration(
-                        "geometric ratio ref needs site labels in (0, 1)"
-                    )
+            if s.r.source == "site_label":
+                _, seq, start, step = _site_progression(fam)
+                what = "site labels"
             else:
-                env = fam.envelope
-                if env.has_refs():
-                    continue
-                if env.zero_in_progression(1, 1) or src.coeff * env.sup() >= 1:
-                    raise InvalidDeclaration(
-                        "geometric ratio ref needs envelope values in (0, 1)"
-                    )
+                seq, start, step, what = fam.envelope, 1, 1, "envelope values"
+            if seq.has_refs():
+                continue  # nested family: checked at instantiation
+            if seq.zero_in_progression(start, step) or s.r.coeff * seq.sup() >= 1:
+                raise InvalidDeclaration(f"geometric ratio ref needs {what} in (0, 1)")
+
+
+def _template_seqs(node: SymbolicTree):
+    """Every non-modulated label sequence of the constructors in ``node``."""
+    for _, c in walk_constructors(node):
+        for name in field_names(type(c)):
+            value = getattr(c, name)
+            if isinstance(value, LabelSeq):
+                yield from _leaf_seqs(value)
 
 
 def _leaf_seqs(seq: LabelSeq):
-    from .seqs import Modulated
-
     if isinstance(seq, Modulated):
         for s in seq.seqs:
             yield from _leaf_seqs(s)
@@ -612,9 +690,8 @@ def _materialize(
         for addr in forced:
             if addr and addr[0][0] == "leaf":
                 leaf_idx.add(addr[0][1])
-        if not val_is_concrete(node.center_label):
-            raise InvalidDeclaration("center label is an unresolved ref")
-        verts: dict[Address, Fraction] = {(("center",),): node.center_label}
+        center = _concrete(node.center_label, "center label")
+        verts: dict[Address, Fraction] = {(("center",),): center}
         edges: set[tuple[Address, Address]] = set()
         for k in sorted(leaf_idx):
             verts[(("leaf", k),)] = node.leaf_labels.term(k)
@@ -700,10 +777,9 @@ def _materialize(
                 edges.add((rename(a), rename(b)))
         return verts, edges
     if isinstance(node, ScaledLabels):
-        if not val_is_concrete(node.factor):
-            raise InvalidDeclaration("scale factor is an unresolved ref")
+        factor = _concrete(node.factor, "scale factor")
         verts, edges = _materialize(node.inner, budget, forced)
-        return {a: node.factor * lab for a, lab in verts.items()}, edges
+        return {a: factor * lab for a, lab in verts.items()}, edges
     raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
 
 
@@ -889,25 +965,15 @@ def _settle_bound(seq, start, step):
     )
 
 
-def _site_progression(fam: GlueFamily) -> tuple[int, int]:
-    """(start, step) with member m glued at base index start + (m-1)*step."""
-    if isinstance(fam.base, Star):
-        return 1, 1
-    return {"all": (1, 1), "even": (2, 2), "odd": (1, 2)}[fam.sites]
-
-
 def _loose_family_hits(fam: GlueFamily, eps: Fraction):
     """Member indices whose non-shared labels reach eps, for a family whose
     envelope exceeds eps infinitely often.  Exact: a sorted list, or INFINITE
     when infinitely many members (hence vertices) reach eps."""
-    base_seq = (
-        fam.base.leaf_labels if isinstance(fam.base, Star) else fam.base.labels
-    )
+    _, base_seq, start, step = _site_progression(fam)
     if base_seq.has_refs() or fam.envelope.has_refs():
         raise InvalidDeclaration(
             "family base labels and envelope must be concrete to count"
         )
-    start, step = _site_progression(fam)
     raw: list = []
     _template_unshared_monos(fam.template, fam.shared, (Fraction(1), 0, 0), raw)
     monos = sorted({(c, sp, se) for c, sp, se in raw if c > 0})
@@ -960,9 +1026,7 @@ def count_vertices_geq(node: SymbolicTree, eps: Fraction):
     if isinstance(node, Ray):
         return node.labels.count_geq(eps)
     if isinstance(node, Star):
-        if not val_is_concrete(node.center_label):
-            raise InvalidDeclaration("center label is an unresolved ref")
-        extra = 1 if node.center_label >= eps else 0
+        extra = 1 if _concrete(node.center_label, "center label") >= eps else 0
         leaves = node.leaf_labels.count_geq(eps)
         return INFINITE if leaves is INFINITE else leaves + extra
     if isinstance(node, GlueFinite):
@@ -996,9 +1060,7 @@ def count_vertices_geq(node: SymbolicTree, eps: Fraction):
                 total -= 1
         return total
     if isinstance(node, ScaledLabels):
-        if not val_is_concrete(node.factor):
-            raise InvalidDeclaration("scale factor is an unresolved ref")
-        return count_vertices_geq(node.inner, eps / node.factor)
+        return count_vertices_geq(node.inner, eps / _concrete(node.factor, "scale factor"))
     raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
 
 
@@ -1041,7 +1103,5 @@ def exceedance_bound(node: SymbolicTree, eps: Fraction):
             return INFINITE
         return max(bounds + [1])
     if isinstance(node, ScaledLabels):
-        if not val_is_concrete(node.factor):
-            raise InvalidDeclaration("scale factor is an unresolved ref")
-        return exceedance_bound(node.inner, eps / node.factor)
+        return exceedance_bound(node.inner, eps / _concrete(node.factor, "scale factor"))
     raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")

@@ -11,63 +11,29 @@ Symbolic tree: {"kind": "glue_family", "base": ..., "sites": "even",
                scaled.  "shared" is optional (defaults to the part's
                canonical glue vertex).
 
+Sequences and constructors are encoded field by field from their
+dataclasses; a missing or malformed field raises InvalidDeclaration naming
+the kind and the field.
+
 All rationals are rendered as "p/q" or integer strings; no floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core_tree import LabeledTree, build_tree
 from .errors import InvalidDeclaration
 from .ratio import format_rational, parse_rational
-from .seqs import (
-    Const,
-    Custom,
-    FiniteSupport,
-    Geometric,
-    Harmonic,
-    LabelSeq,
-    Modulated,
-    PrimeRecip,
-    Ref,
-)
+from .seqs import SEQ_KINDS, LabelSeq, Ref, field_names
 from .spaces import UltraSpace, validate_space
 from .symbolic import (
+    NODE_KINDS,
     Attachment,
-    Finite,
-    GlueFamily,
-    GlueFinite,
-    Ray,
-    ScaledLabels,
-    Star,
     SymbolicTree,
     default_shared,
     format_address,
     parse_address,
     validate_symbolic,
 )
-
-
-# ---------------------------------------------------------------------------
-# rationals and refs
-
-
-def _val_to_json(v):
-    if isinstance(v, Ref):
-        out = {"$": v.source}
-        if v.coeff != 1:
-            out["coeff"] = format_rational(v.coeff)
-        return out
-    return format_rational(v)
-
-
-def _val_from_json(obj):
-    if isinstance(obj, dict):
-        if "$" not in obj:
-            raise InvalidDeclaration(f"bad ref object {obj!r}")
-        return Ref(obj["$"], parse_rational(obj.get("coeff", "1")))
-    return parse_rational(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +48,18 @@ def tree_to_json(tree: LabeledTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> LabeledTree:
-    if not isinstance(obj, dict) or "vertices" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), dict):
         raise InvalidDeclaration("finite tree JSON needs a 'vertices' mapping")
     verts = obj["vertices"]
     labels = {v: parse_rational(x) for v, x in verts.items()}
-    edges = [tuple(e) for e in obj.get("edges", [])]
-    return build_tree(list(verts), edges, labels)
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 for e in edges
+    ):
+        raise InvalidDeclaration(
+            f"finite tree 'edges' must be a list of vertex pairs, got {edges!r}"
+        )
+    return build_tree(list(verts), [tuple(e) for e in edges], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -110,118 +82,99 @@ def space_from_json(obj: dict) -> UltraSpace:
 
 
 # ---------------------------------------------------------------------------
-# label sequences
+# label sequences and symbolic trees, encoded field by field
+#
+# Every sequence kind (seqs.SEQ_KINDS) and constructor kind
+# (symbolic.NODE_KINDS) is written as {"kind": ..., <one key per dataclass
+# field>}; an attachment is written the same way, without a kind.  _FIELDS
+# (below) maps each field name to its JSON key, encoder, decoder and default.
+
+
+def _val_to_json(v):
+    if isinstance(v, Ref):
+        out = {"$": v.source}
+        if v.coeff != 1:
+            out["coeff"] = format_rational(v.coeff)
+        return out
+    return format_rational(v)
+
+
+def _val_from_json(obj):
+    if isinstance(obj, dict):
+        if "$" not in obj:
+            raise InvalidDeclaration(f"bad ref object {obj!r}")
+        return Ref(obj["$"], parse_rational(obj.get("coeff", "1")))
+    return parse_rational(obj)
+
+
+def _encode_list(encode):
+    return lambda xs: [encode(x) for x in xs]
+
+
+def _decode_list(decode):
+    def decode_list(obj) -> tuple:
+        if not isinstance(obj, list):
+            raise TypeError(f"expected a list, got {obj!r}")  # reported as malformed
+        return tuple(decode(x) for x in obj)
+
+    return decode_list
+
+
+def _fields_to_json(obj) -> dict:
+    out = {"kind": obj.kind} if hasattr(obj, "kind") else {}
+    for name in field_names(type(obj)):
+        key, encode, _, _ = _FIELDS[name]
+        out[key] = encode(getattr(obj, name))
+    return out
+
+
+def _fields_from_json(cls, obj, what: str):
+    """Decode every field of ``cls`` from ``obj``; a missing or malformed
+    field raises InvalidDeclaration naming ``what`` and the JSON key."""
+    if not isinstance(obj, dict):
+        raise InvalidDeclaration(f"{what} JSON must be an object, got {obj!r}")
+    done: dict = {}
+    for name in field_names(cls):
+        key, _, decode, default = _FIELDS[name]
+        if key not in obj:
+            if default is None:
+                raise InvalidDeclaration(f"{what} JSON needs the field {key!r}")
+            done[name] = default(done)
+            continue
+        try:
+            done[name] = decode(obj[key])
+        except (TypeError, ValueError, AttributeError, KeyError, IndexError) as exc:
+            raise InvalidDeclaration(
+                f"{what} field {key!r} is malformed: {obj[key]!r}"
+            ) from exc
+    return cls(**done)
+
+
+def _kind_to_json(table: dict, obj, noun: str) -> dict:
+    if table.get(getattr(obj, "kind", None)) is not type(obj):
+        raise InvalidDeclaration(f"unknown {noun} {type(obj).__name__}")
+    return _fields_to_json(obj)
+
+
+def _kind_from_json(table: dict, obj, what: str, noun: str):
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise InvalidDeclaration(f"{what} JSON needs a 'kind'")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise InvalidDeclaration(f"unknown {noun} kind {kind!r}")
+    return _fields_from_json(table[kind], obj, kind)
 
 
 def seq_to_json(seq: LabelSeq) -> dict:
-    if isinstance(seq, Const):
-        return {"kind": "const", "c": _val_to_json(seq.c)}
-    if isinstance(seq, FiniteSupport):
-        return {
-            "kind": "finite_support",
-            "prefix": [format_rational(x) for x in seq.prefix],
-        }
-    if isinstance(seq, Harmonic):
-        return {"kind": "harmonic", "a": _val_to_json(seq.a)}
-    if isinstance(seq, Geometric):
-        return {
-            "kind": "geometric",
-            "a": _val_to_json(seq.a),
-            "r": _val_to_json(seq.r),
-        }
-    if isinstance(seq, PrimeRecip):
-        return {"kind": "prime_recip", "a": _val_to_json(seq.a)}
-    if isinstance(seq, Modulated):
-        return {
-            "kind": "modulated",
-            "period": seq.period,
-            "seqs": [seq_to_json(s) for s in seq.seqs],
-        }
-    if isinstance(seq, Custom):
-        return {
-            "kind": "custom",
-            "prefix": [format_rational(x) for x in seq.prefix],
-            "limsup": format_rational(seq.limsup_),
-            "liminf": format_rational(seq.liminf_),
-            "inf": format_rational(seq.inf_),
-            "vanishes": seq.vanishes_,
-        }
-    raise InvalidDeclaration(f"unknown sequence kind {type(seq).__name__}")
+    return _kind_to_json(SEQ_KINDS, seq, "sequence kind")
 
 
 def seq_from_json(obj: dict) -> LabelSeq:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidDeclaration("sequence JSON needs a 'kind'")
-    kind = obj["kind"]
-    if kind == "const":
-        return Const(_val_from_json(obj["c"]))
-    if kind == "finite_support":
-        return FiniteSupport(tuple(parse_rational(x) for x in obj["prefix"]))
-    if kind == "harmonic":
-        return Harmonic(_val_from_json(obj["a"]))
-    if kind == "geometric":
-        return Geometric(_val_from_json(obj["a"]), _val_from_json(obj["r"]))
-    if kind == "prime_recip":
-        return PrimeRecip(_val_from_json(obj["a"]))
-    if kind == "modulated":
-        return Modulated(
-            int(obj["period"]), tuple(seq_from_json(s) for s in obj["seqs"])
-        )
-    if kind == "custom":
-        return Custom(
-            tuple(parse_rational(x) for x in obj["prefix"]),
-            parse_rational(obj["limsup"]),
-            parse_rational(obj["liminf"]),
-            parse_rational(obj["inf"]),
-            bool(obj["vanishes"]),
-        )
-    raise InvalidDeclaration(f"unknown sequence kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# symbolic trees
+    return _kind_from_json(SEQ_KINDS, obj, "sequence", "sequence")
 
 
 def symbolic_to_json(node: SymbolicTree) -> dict:
-    if isinstance(node, Finite):
-        return {"kind": "finite", "tree": tree_to_json(node.tree)}
-    if isinstance(node, Ray):
-        return {"kind": "ray", "labels": seq_to_json(node.labels)}
-    if isinstance(node, Star):
-        return {
-            "kind": "star",
-            "center": _val_to_json(node.center_label),
-            "leaves": seq_to_json(node.leaf_labels),
-        }
-    if isinstance(node, GlueFinite):
-        return {
-            "kind": "glue_finite",
-            "base": symbolic_to_json(node.base),
-            "attachments": [
-                {
-                    "site": format_address(a.site),
-                    "part": symbolic_to_json(a.part),
-                    "shared": format_address(a.shared),
-                }
-                for a in node.attachments
-            ],
-        }
-    if isinstance(node, GlueFamily):
-        return {
-            "kind": "glue_family",
-            "base": symbolic_to_json(node.base),
-            "sites": node.sites,
-            "template": symbolic_to_json(node.template),
-            "shared": format_address(node.shared),
-            "envelope": seq_to_json(node.envelope),
-        }
-    if isinstance(node, ScaledLabels):
-        return {
-            "kind": "scaled",
-            "inner": symbolic_to_json(node.inner),
-            "factor": _val_to_json(node.factor),
-        }
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+    return _kind_to_json(NODE_KINDS, node, "constructor")
 
 
 def symbolic_from_json(obj: dict, validate: bool = True) -> SymbolicTree:
@@ -232,44 +185,58 @@ def symbolic_from_json(obj: dict, validate: bool = True) -> SymbolicTree:
 
 
 def _symbolic_from_json(obj: dict) -> SymbolicTree:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidDeclaration("symbolic JSON needs a 'kind'")
-    kind = obj["kind"]
-    if kind == "finite":
-        return Finite(tree_from_json(obj["tree"]))
-    if kind == "ray":
-        return Ray(seq_from_json(obj["labels"]))
-    if kind == "star":
-        return Star(_val_from_json(obj["center"]), seq_from_json(obj["leaves"]))
-    if kind == "glue_finite":
-        base = _symbolic_from_json(obj["base"])
-        atts = []
-        for a in obj.get("attachments", []):
-            part = _symbolic_from_json(a["part"])
-            shared = (
-                parse_address(a["shared"]) if "shared" in a
-                else default_shared(part)
-            )
-            atts.append(Attachment(parse_address(a["site"]), part, shared))
-        return GlueFinite(base, tuple(atts))
-    if kind == "glue_family":
-        template = _symbolic_from_json(obj["template"])
-        shared = (
-            parse_address(obj["shared"]) if "shared" in obj
-            else default_shared(template)
-        )
-        return GlueFamily(
-            _symbolic_from_json(obj["base"]),
-            obj["sites"],
-            template,
-            shared,
-            seq_from_json(obj["envelope"]),
-        )
-    if kind == "scaled":
-        return ScaledLabels(
-            _symbolic_from_json(obj["inner"]), _val_from_json(obj["factor"])
-        )
-    raise InvalidDeclaration(f"unknown constructor kind {kind!r}")
+    return _kind_from_json(NODE_KINDS, obj, "symbolic", "constructor")
+
+
+def _attachment_from_json(obj) -> Attachment:
+    return _fields_from_json(Attachment, obj, "attachment")
+
+
+# field name -> (JSON key, encoder, decoder, default for a missing key or
+# None when the key is required); a default is computed from the fields
+# decoded before it
+_VAL = (_val_to_json, _val_from_json, None)
+_RAT = (format_rational, parse_rational, None)
+_RATS = (_encode_list(format_rational), _decode_list(parse_rational), None)
+_SEQ = (seq_to_json, seq_from_json, None)
+_NODE = (symbolic_to_json, _symbolic_from_json, None)
+_FIELDS = {
+    "c": ("c", *_VAL),
+    "a": ("a", *_VAL),
+    "r": ("r", *_VAL),
+    "prefix": ("prefix", *_RATS),
+    "period": ("period", int, int, None),
+    "seqs": ("seqs", _encode_list(seq_to_json), _decode_list(seq_from_json), None),
+    "limsup_": ("limsup", *_RAT),
+    "liminf_": ("liminf", *_RAT),
+    "inf_": ("inf", *_RAT),
+    "vanishes_": ("vanishes", bool, bool, None),
+    "tree": ("tree", tree_to_json, tree_from_json, None),
+    "labels": ("labels", *_SEQ),
+    "center_label": ("center", *_VAL),
+    "leaf_labels": ("leaves", *_SEQ),
+    "base": ("base", *_NODE),
+    "attachments": (
+        "attachments",
+        _encode_list(_fields_to_json),
+        _decode_list(_attachment_from_json),
+        lambda done: (),
+    ),
+    "site": ("site", format_address, parse_address, None),
+    "part": ("part", *_NODE),
+    "sites": ("sites", str, str, None),
+    "template": ("template", *_NODE),
+    # a gluing's shared vertex defaults to the part's canonical glue vertex
+    "shared": (
+        "shared",
+        format_address,
+        parse_address,
+        lambda done: default_shared(done.get("template") or done["part"]),
+    ),
+    "envelope": ("envelope", *_SEQ),
+    "inner": ("inner", *_NODE),
+    "factor": ("factor", *_VAL),
+}
 
 
 # ---------------------------------------------------------------------------

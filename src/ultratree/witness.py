@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import Verdict, classify, free_predicates
+from .classify import Verdict, classify, free_predicates, infinite_degree
+from .core_tree import build_tree
 from .errors import PreconditionFailed
 from .ratio import format_rational
 from .seqs import Harmonic, Ref
@@ -39,7 +40,6 @@ from .symbolic import (
     label_at,
     sup_labels,
 )
-from .classify import _bundle_infinite  # structural infinite-degree test
 
 ONE = Fraction(1)
 
@@ -59,8 +59,6 @@ def _relabel_positive(node: SymbolicTree) -> SymbolicTree:
     if isinstance(node, Finite):
         t = node.tree
         labels = {v: Fraction(1, i + 1) for i, v in enumerate(t.vertices)}
-        from .core_tree import build_tree
-
         return Finite(build_tree(t.vertices, t.edges, labels))
     if isinstance(node, Ray):
         return Ray(Harmonic(ONE))
@@ -148,8 +146,6 @@ def _compact_relabel(node: SymbolicTree, forced_zero: set[Address]) -> SymbolicT
                     f"vertices {u} and {v} are adjacent and both must be "
                     "labeled zero",
                 )
-        from .core_tree import build_tree
-
         return Finite(build_tree(t.vertices, t.edges, labels))
     if isinstance(node, Ray):
         raise PreconditionFailed("rayless", "the free tree contains a ray")
@@ -164,7 +160,7 @@ def _compact_relabel(node: SymbolicTree, forced_zero: set[Address]) -> SymbolicT
     if isinstance(node, GlueFinite):
         base_fz = {a[1:] for a in forced_zero if a and a[0] == ("base",)}
         for att in node.attachments:
-            if _bundle_infinite(node, (("base",),) + att.site):
+            if infinite_degree(node, (("base",),) + att.site):
                 base_fz.add(att.site)
         base = _compact_relabel(node.base, base_fz)
         atts = []
@@ -183,7 +179,7 @@ def _compact_relabel(node: SymbolicTree, forced_zero: set[Address]) -> SymbolicT
     if isinstance(node, GlueFamily):
         if isinstance(node.base, Ray):
             raise PreconditionFailed("rayless", "the free tree contains a ray")
-        if _bundle_infinite(node.template, node.shared):
+        if infinite_degree(node.template, node.shared):
             raise PreconditionFailed(
                 "no_adjacent_infinite_degree_pair",
                 "every glued member center would sit next to the star base "

@@ -522,6 +522,44 @@ def test_cli_domain_and_io_errors_exit_1(workdir, capsys):
     )
 
 
+RAY = {"kind": "ray", "labels": {"kind": "const", "c": "1"}}
+MALFORMED_SYMBOLIC = [
+    ({"kind": "ray"}, "ray JSON needs the field 'labels'"),
+    ({"kind": "ray", "labels": {"kind": "harmonic"}},
+     "harmonic JSON needs the field 'a'"),
+    ({"kind": "glue_finite", "base": RAY, "attachments": [{"part": RAY}]},
+     "attachment JSON needs the field 'site'"),
+    ({"kind": "star", "center": "0"}, "star JSON needs the field 'leaves'"),
+    ({"kind": "scaled", "inner": RAY}, "scaled JSON needs the field 'factor'"),
+    ({"kind": "ray", "labels": {"kind": "modulated", "period": "x",
+                                "seqs": [{"kind": "const", "c": "1"}]}},
+     "modulated field 'period' is malformed: 'x'"),
+    ({"kind": "ray", "labels": {"kind": "modulated", "period": 1, "seqs": 7}},
+     "modulated field 'seqs' is malformed: 7"),
+    ({"kind": "finite", "tree": {"vertices": ["a"], "edges": []}},
+     "finite tree JSON needs a 'vertices' mapping"),
+    ({"kind": "finite", "tree": {"vertices": {"a": "1", "b": "0"},
+                                 "edges": [["a"]]}},
+     "finite tree 'edges' must be a list of vertex pairs"),
+    ({"kind": "glue_finite", "base": RAY, "attachments": ["ray:1"]},
+     "attachment JSON must be an object"),
+    ({"kind": "glue_family", "base": RAY, "sites": "all",
+      "template": RAY, "shared": "ray:1"},
+     "glue_family JSON needs the field 'envelope'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_SYMBOLIC)
+def test_cli_malformed_symbolic_json_is_a_named_error(workdir, capsys, doc, message):
+    with open("bad_doc.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, err = run_cli(capsys, ["classify", "--symbolic", "bad_doc.json"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidDeclaration: " + message), err
+    with pytest.raises(InvalidDeclaration):
+        symbolic_from_json(doc)
+
+
 def test_cli_env_cap_override(workdir, capsys, monkeypatch):
     monkeypatch.setenv("ULTRATREE_SIZE_CAP", "99")
     code, out, err = run_cli(

@@ -18,6 +18,7 @@ from ultratree.errors import (
     InvalidDeclaration,
     PreconditionFailed,
     SizeCapExceeded,
+    UnknownVertex,
 )
 from ultratree.seqs import INFINITE, Const, Custom, Geometric, Harmonic, Modulated, PrimeRecip, Ref
 from ultratree.symbolic import (
@@ -459,6 +460,21 @@ def test_classify_scaled_and_finite():
         False, True, True, True, False)
 
 
+def test_classify_witnesses_report_scaled_labels():
+    v = classify(ScaledLabels(Star(F(1), Harmonic(1)), F(2)))
+    assert v.totally_bounded_witness.address == "center"
+    assert v.totally_bounded_witness.detail == (
+        "vertex of infinite degree labeled 2: the ball of radius 2 around it "
+        "needs infinitely many smaller balls to cover the leaves"
+    )
+    v = classify(ScaledLabels(Ray(Const(1)), F(3)))
+    assert v.totally_bounded_witness.address == "ray:1"
+    assert v.totally_bounded_witness.detail == (
+        "ray labels const(1) scaled by 3 has limsup 3, so infinitely many "
+        "labels are >= 3/2"
+    )
+
+
 # ---------------------------------------------------------------------------
 # free-tree predicates
 
@@ -483,6 +499,37 @@ def test_free_predicates_adjacent_pair():
     assert r.pair_witness == (
         "star base center base/center is adjacent to every glued member center"
     )
+
+
+def test_classify_refuses_refs_outside_a_template():
+    # a ref means nothing outside a family template: no member binds it
+    with pytest.raises(InvalidDeclaration) as e:
+        classify(ScaledLabels(Star(F(0), Harmonic(1)), Ref("envelope")))
+    assert str(e.value) == "scale factor is an unresolved ref"
+    with pytest.raises(InvalidDeclaration) as e:
+        isolated_points(Star(Ref("site_label"), Harmonic(1)))
+    assert str(e.value) == "center label is an unresolved ref"
+
+
+def test_unresolvable_glue_address_is_an_unknown_vertex():
+    # a glue_finite template has no "center" of its own: its vertices are
+    # addressed through base/... or attach:i/...
+    part = Finite(build_tree(["a", "b"], [("a", "b")], {"a": F(1), "b": F(1, 2)}))
+    template = GlueFinite(
+        Star(F(0), Harmonic(1)),
+        (Attachment((("leaf", 1),), part, (("vertex", "a"),)),),
+    )
+    fam = GlueFamily(
+        base=Star(F(0), Harmonic(1)), sites="leaves", template=template,
+        shared=(("center",),), envelope=Harmonic(1),
+    )
+    with pytest.raises(UnknownVertex) as e:
+        free_predicates(fam)
+    assert str(e.value) == "unknown vertex id 'center'"
+    with pytest.raises(UnknownVertex):
+        compact_labeling_witness(fam)
+    with pytest.raises(UnknownVertex):
+        validate_symbolic(fam)
 
 
 def test_free_predicates_finite_tree():
