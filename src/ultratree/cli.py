@@ -9,6 +9,7 @@ the guarded enumeration caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -441,6 +442,7 @@ def _cmd_export_dot(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultratree",

@@ -31,6 +31,7 @@ from .errors import (
     SizeCapExceeded,
     UnknownVertex,
 )
+from .ratio import parse_rational
 from .spaces import UltraSpace
 
 BRUTE_FORCE_ISO_CAP = 8
@@ -70,7 +71,8 @@ def build_tree(vertices, edges, labels) -> LabeledTree:
     """Validate and freeze a labeled tree.
 
     Checks, in order: duplicate ids, self loops, unknown edge endpoints,
-    missing or negative labels, acyclicity (union-find; the first edge closing
+    missing, non-exact (float; see :func:`~ultratree.ratio.parse_rational`)
+    or negative labels, acyclicity (union-find; the first edge closing
     a cycle is named), connectivity (an unreachable vertex is named).
     """
     vs = list(vertices)
@@ -105,7 +107,7 @@ def build_tree(vertices, edges, labels) -> LabeledTree:
     for v in vs:
         if v not in labels:
             raise MissingLabel(v)
-        val = Fraction(labels[v])
+        val = parse_rational(labels[v])
         if val < 0:
             raise NegativeLabel(v, val)
         lab[v] = val

@@ -27,6 +27,7 @@ from .errors import (
     StrongTriangleViolation,
     UnknownVertex,
 )
+from .ratio import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,14 @@ class UltraSpace:
 def validate_space(points, matrix) -> UltraSpace:
     """Check matrix axioms and return the validated space.
 
-    Raises AsymmetricEntry / NonzeroDiagonal / NegativeDistance /
-    StrongTriangleViolation naming the offending entries, DuplicateVertex or
-    EmptySet for a bad point list.
+    Entries go through :func:`~ultratree.ratio.parse_rational` (``Fraction``,
+    ``int`` or ``"p/q"``; a float raises InvalidDeclaration).  Raises
+    AsymmetricEntry / NonzeroDiagonal / NegativeDistance for the first bad
+    entry in row-major order, DuplicateVertex or EmptySet for a bad point
+    list.  The strong triangle inequality is checked in O(n^2); on failure
+    StrongTriangleViolation names *a* violated triple (x, y, z), with
+    d(x,y) > max(d(x,z), d(z,y)), not necessarily the lexicographically
+    first one.
     """
     pts = tuple(points)
     if not pts:
@@ -72,27 +78,62 @@ def validate_space(points, matrix) -> UltraSpace:
             raise DuplicateVertex(p)
         seen.add(p)
     n = len(pts)
-    rows = tuple(tuple(Fraction(e) for e in row) for row in matrix)
+    rows = _exact_rows(matrix)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise AsymmetricEntry(pts[0], pts[-1])
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise NonzeroDiagonal(pts[i], rows[i][i])
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise AsymmetricEntry(pts[i], pts[j])
-            if rows[i][j] < 0:
-                raise NegativeDistance(pts[i], pts[j], rows[i][j])
-    for i in range(n):
-        for j in range(n):
-            dij = rows[i][j]
-            for k in range(n):
-                if dij > max(rows[i][k], rows[k][j]):
-                    raise StrongTriangleViolation(pts[i], pts[j], pts[k])
-    proper = all(
-        rows[i][j] > 0 for i in range(n) for j in range(i + 1, n)
-    )
-    return UltraSpace(points=pts, dist=rows, proper=proper)
+    # screen each row whole; look for the first bad entry only in a bad row
+    cols = tuple(zip(*rows))
+    for i, row in enumerate(rows):
+        if row[i] != 0:
+            raise NonzeroDiagonal(pts[i], row[i])
+        if row[i + 1 :] != cols[i][i + 1 :] or min(row[i:]) < 0:
+            for j in range(i + 1, n):
+                if row[j] != cols[i][j]:
+                    raise AsymmetricEntry(pts[i], pts[j])
+                if row[j] < 0:
+                    raise NegativeDistance(pts[i], pts[j], row[j])
+    # Strong triangle inequality, adding the points in index order.  Let p
+    # be the earlier point nearest to v.  If points 0..v-1 are ultrametric,
+    # points 0..v are iff d(v,u) == max(d(v,p), d(p,u)) for every u < v.
+    # Only if: "<=" is the inequality itself, and d(v,p) <= d(v,u) and
+    # d(p,u) <= max(d(p,v), d(v,u)) = d(v,u) give ">=".  If: any triple
+    # through v reduces, via p, to one among 0..v-1.  A larger d(v,u) makes
+    # (v, u, p) a violated triple; a smaller one means d(p,u) >
+    # max(d(p,v), d(v,u)), so (p, u, v) is violated.
+    nearest = []
+    for v in range(1, n):
+        before = rows[v][:v]
+        dvp = min(before)
+        p = before.index(dvp)
+        # from a list, not an iterator: CPython grows a tuple of unknown
+        # length by realloc, and freeing such tuples fills its free lists
+        expect = tuple([max(dvp, e) for e in rows[p][:v]])
+        if before != expect:
+            u = next(u for u in range(v) if before[u] != expect[u])
+            if before[u] > expect[u]:
+                raise StrongTriangleViolation(pts[v], pts[u], pts[p])
+            raise StrongTriangleViolation(pts[p], pts[u], pts[v])
+        nearest.append(dvp)
+    return UltraSpace(points=pts, dist=rows, proper=all(nearest))
+
+
+def _exact_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix rows as Fractions; a string is parsed once per call, since a
+    space repeats few distinct distances."""
+    memo: dict[str, Fraction] = {}
+    rows = []
+    for row in matrix:
+        out = []
+        for e in row:
+            if isinstance(e, str):
+                if e not in memo:
+                    memo[e] = parse_rational(e)
+                e = memo[e]
+            elif type(e) is not Fraction:
+                e = parse_rational(e)
+            out.append(e)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +177,6 @@ class Hierarchy:
         """Compact canonical string, e.g. ``(2 (1 * *) (1 * *))``."""
         if self.is_leaf:
             return "*"
-        from .ratio import format_rational
-
         inner = " ".join(c.encode() for c in sorted(self.children, key=lambda c: c.shape))
         return f"({format_rational(self.value)} {inner})"
 

@@ -20,6 +20,8 @@ All rationals are rendered as "p/q" or integer strings; no floats.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .core_tree import LabeledTree, build_tree
 from .errors import InvalidDeclaration
 from .ratio import format_rational, parse_rational
@@ -51,7 +53,17 @@ def tree_from_json(obj: dict) -> LabeledTree:
     if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), dict):
         raise InvalidDeclaration("finite tree JSON needs a 'vertices' mapping")
     verts = obj["vertices"]
-    labels = {v: parse_rational(x) for v, x in verts.items()}
+    # a tree repeats few distinct labels: parse each string once, share
+    # its Fraction
+    parsed: dict[str, Fraction] = {}
+    labels = {}
+    for v, x in verts.items():
+        if isinstance(x, str):
+            if x not in parsed:
+                parsed[x] = parse_rational(x)
+            labels[v] = parsed[x]
+        else:
+            labels[v] = parse_rational(x)
     edges = obj.get("edges", [])
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 for e in edges
@@ -74,11 +86,27 @@ def space_to_json(space: UltraSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> UltraSpace:
+    """Check the document's shape; validate_space parses the entries."""
     if not isinstance(obj, dict) or "points" not in obj or "d" not in obj:
         raise InvalidDeclaration("matrix JSON needs 'points' and 'd'")
-    return validate_space(
-        obj["points"], [[parse_rational(e) for e in row] for row in obj["d"]]
-    )
+    points, rows = obj["points"], obj["d"]
+    if not isinstance(points, list) or not all(
+        isinstance(p, str) and p for p in points
+    ):
+        raise InvalidDeclaration(
+            f"matrix field 'points' must be a list of non-empty strings, got {points!r}"
+        )
+    n = len(points)
+    if not isinstance(rows, list) or len(rows) != n:
+        raise InvalidDeclaration(
+            f"matrix field 'd' must be a list of {n} rows, got {rows!r}"
+        )
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise InvalidDeclaration(
+                f"matrix field 'd' row {i} must be a list of {n} entries, got {row!r}"
+            )
+    return validate_space(points, rows)
 
 
 # ---------------------------------------------------------------------------

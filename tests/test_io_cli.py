@@ -560,6 +560,37 @@ def test_cli_malformed_symbolic_json_is_a_named_error(workdir, capsys, doc, mess
         symbolic_from_json(doc)
 
 
+MALFORMED_MATRIX = [
+    ({"points": ["a"]}, "matrix JSON needs 'points' and 'd'"),
+    ({"points": "ab", "d": [["0", "1"], ["1", "0"]]},
+     "matrix field 'points' must be a list of non-empty strings, got 'ab'"),
+    ({"points": [1, 2], "d": [["0", "1"], ["1", "0"]]},
+     "matrix field 'points' must be a list of non-empty strings, got [1, 2]"),
+    ({"points": ["a", ""], "d": [["0", "1"], ["1", "0"]]},
+     "matrix field 'points' must be a list of non-empty strings"),
+    ({"points": ["a"], "d": 5}, "matrix field 'd' must be a list of 1 rows, got 5"),
+    ({"points": ["a", "b"], "d": [["0", "1"]]},
+     "matrix field 'd' must be a list of 2 rows"),
+    ({"points": ["a", "b"], "d": ["01", "10"]},
+     "matrix field 'd' row 0 must be a list of 2 entries, got '01'"),
+    ({"points": ["a", "b"], "d": [["0", "1"], ["1"]]},
+     "matrix field 'd' row 1 must be a list of 2 entries, got ['1']"),
+    ({"points": ["a", "b"], "d": [["0", 0.5], [0.5, "0"]]},
+     "floats are not accepted, got 0.5"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_MATRIX)
+def test_cli_malformed_matrix_json_is_a_named_error(workdir, capsys, doc, message):
+    with open("bad_matrix.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, err = run_cli(capsys, ["validate", "--space", "bad_matrix.json"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidDeclaration: " + message), err
+    with pytest.raises(InvalidDeclaration):
+        space_from_json(doc)
+
+
 def test_cli_env_cap_override(workdir, capsys, monkeypatch):
     monkeypatch.setenv("ULTRATREE_SIZE_CAP", "99")
     code, out, err = run_cli(

@@ -1,0 +1,196 @@
+"""``validate_space`` against its slow oracle.
+
+The library checks the strong triangle inequality in O(n^2) by a
+nearest-earlier-point pass; ``triple_loop_oracle`` below is the plain O(n^3)
+check over every triple, kept here as the reference.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from conftest import random_tree
+from ultratree.core_tree import build_tree, distance_matrix
+from ultratree.errors import (
+    AsymmetricEntry,
+    DuplicateVertex,
+    EmptySet,
+    InvalidDeclaration,
+    NegativeDistance,
+    NonzeroDiagonal,
+    StrongTriangleViolation,
+)
+from ultratree.ratio import format_rational
+from ultratree.spaces import UltraSpace, validate_space
+from ultratree.treeio import space_from_json, space_to_json
+
+
+def triple_loop_oracle(points, matrix) -> UltraSpace:
+    """Reference check: every axiom entry by entry, every triple in order."""
+    pts = tuple(points)
+    if not pts:
+        raise EmptySet("point set")
+    seen = set()
+    for p in pts:
+        if p in seen:
+            raise DuplicateVertex(p)
+        seen.add(p)
+    n = len(pts)
+    rows = tuple(tuple(F(e) for e in row) for row in matrix)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise AsymmetricEntry(pts[0], pts[-1])
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise NonzeroDiagonal(pts[i], rows[i][i])
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise AsymmetricEntry(pts[i], pts[j])
+            if rows[i][j] < 0:
+                raise NegativeDistance(pts[i], pts[j], rows[i][j])
+    for i in range(n):
+        for j in range(n):
+            dij = rows[i][j]
+            for k in range(n):
+                if dij > max(rows[i][k], rows[k][j]):
+                    raise StrongTriangleViolation(pts[i], pts[j], pts[k])
+    proper = all(rows[i][j] > 0 for i in range(n) for j in range(i + 1, n))
+    return UltraSpace(points=pts, dist=rows, proper=proper)
+
+
+def outcome(check, points, matrix):
+    try:
+        space = check(points, matrix)
+    except Exception as exc:  # compared by type below
+        return type(exc), exc
+    return None, space
+
+
+def assert_violated(matrix, points, triple):
+    x, y, z = (points.index(p) for p in triple)
+    assert matrix[x][y] > max(matrix[x][z], matrix[z][y]), triple
+
+
+BAD_MATRICES = [
+    ("asymmetric", [[0, 1], [2, 0]], AsymmetricEntry),
+    ("short row", [[0, 1], [1]], AsymmetricEntry),
+    ("nonzero diagonal", [[0, 1], [1, 1]], NonzeroDiagonal),
+    ("negative", [[0, -1], [-1, 0]], NegativeDistance),
+    ("negative before asymmetric", [[0, -1, 1], [-1, 0, 1], [1, 2, 0]], NegativeDistance),
+    ("strong triangle", [[0, 1, 2], [1, 0, 1], [2, 1, 0]], StrongTriangleViolation),
+    ("float entry", [[0, 0.5], [0.5, 0]], InvalidDeclaration),
+    ("float after equal int", [[0, 1], [1.0, 0]], InvalidDeclaration),
+    ("float after equal string", [["0", "1"], [1.0, "0"]], InvalidDeclaration),
+    ("not a rational", [["0", "x"], ["x", "0"]], InvalidDeclaration),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix, error", [case[1:] for case in BAD_MATRICES], ids=[c[0] for c in BAD_MATRICES]
+)
+def test_each_bad_matrix_raises_its_named_error(matrix, error):
+    points = [f"p{i}" for i in range(len(matrix))]
+    with pytest.raises(error) as caught:
+        validate_space(points, matrix)
+    if error is InvalidDeclaration:
+        return  # the oracle reads floats as Fractions
+    kind, exc = outcome(triple_loop_oracle, points, matrix)
+    assert kind is error
+    if error is StrongTriangleViolation:
+        # any violated triple may be named, not only the oracle's first
+        assert_violated(matrix, points, caught.value.triple)
+    else:
+        assert str(exc) == str(caught.value)
+
+
+def test_bad_point_lists_raise_named_errors():
+    with pytest.raises(EmptySet):
+        validate_space([], [])
+    with pytest.raises(DuplicateVertex):
+        validate_space(["a", "a"], [[0, 1], [1, 0]])
+
+
+def test_library_entry_points_refuse_floats():
+    with pytest.raises(InvalidDeclaration, match="floats are not accepted"):
+        build_tree(["a"], [], {"a": 0.1})
+    with pytest.raises(InvalidDeclaration, match="floats are not accepted"):
+        validate_space(["a", "b"], [[0, 0.1], [0.1, 0]])
+
+
+def test_mixed_entry_types_are_read_exactly():
+    sp = validate_space(["a", "b", "c"], [
+        ["0", 1, F(2)],
+        [F(1), 0, " 2 "],
+        ["2", "4/2", F(0)],
+    ])
+    assert sp.dist == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+    assert all(type(e) is F for row in sp.dist for e in row)
+    assert sp.proper
+
+
+POOL = (F(0), F(1, 3), F(1, 2), F(1), F(2))
+
+
+def random_matrix(rng: random.Random, n: int):
+    """Path-max matrix of a random tree, the same with one entry changed,
+    or a random symmetric matrix with zeros."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        rows = [list(r) for r in distance_matrix(random_tree(rng, n)).dist]
+        if kind == 1 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rng.choice(POOL)
+    else:
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(POOL)
+    # the library also reads "p/q" strings and ints, as JSON and callers give
+    form = rng.choice((lambda e: e, format_rational, lambda e: e if e.denominator > 1 else int(e)))
+    return [[form(e) for e in row] for row in rows], rows
+
+
+def test_fast_check_agrees_with_triple_loop_oracle():
+    rng = random.Random(20211005)
+    tally = {"accepted": 0, "rejected": 0, "pseudo": 0}
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        points = [f"p{i}" for i in rng.sample(range(10), n)]
+        given, exact = random_matrix(rng, n)
+        kind, got = outcome(validate_space, points, given)
+        want_kind, want = outcome(triple_loop_oracle, points, given)
+        assert kind is want_kind, (given, got, want)
+        if kind is None:
+            tally["accepted"] += 1
+            tally["pseudo"] += not got.proper
+            assert got.proper == want.proper
+            assert got.dist == want.dist and got.points == want.points
+        else:
+            tally["rejected"] += 1
+            assert kind is StrongTriangleViolation, got
+            assert_violated(exact, points, got.triple)
+    # each branch is exercised substantially
+    assert min(tally.values()) > 300, tally
+
+
+def test_300_point_path_matrix_validates_within_budget(capsys):
+    budget = 5.0
+    rng = random.Random(300)
+    names = [f"v{i:03d}" for i in range(300)]
+    labels = {v: F(rng.randint(1, 60), 7) for v in names}
+    tree = build_tree(names, list(zip(names, names[1:])), labels)
+    doc = space_to_json(distance_matrix(tree))
+    t0 = time.monotonic()
+    space = space_from_json(doc)
+    elapsed = time.monotonic() - t0
+    ok = elapsed < budget and space.proper and space.dist == distance_matrix(tree).dist
+    with capsys.disabled():
+        print(
+            f"validate_space n=300: {'PASS' if ok else 'FAIL'} — "
+            f"path-tree matrix from JSON; {elapsed:.2f}s of {budget}s",
+            flush=True,
+        )
+    assert ok, f"took {elapsed:.2f}s, budget {budget}s"
