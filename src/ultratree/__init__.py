@@ -3,8 +3,8 @@
 Exact-rational toolkit: distances generated by finite labeled trees, indexed
 path-maximum queries, hulls and attachment points, symbolically presented
 infinite trees with topological classification (complete / discrete / totally
-bounded / compact), finite ultrametric spaces, tree-representability search
-and an exhaustive sphere-plus-center scan.
+bounded / compact), finite ultrametric spaces, tree representability read off
+the dendrogram and an exhaustive sphere-plus-center scan.
 """
 
 from .builders import fig1, fig10, four_point_space, star_vs_path

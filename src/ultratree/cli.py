@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (named error on stderr), 2 usage error.
 All rationals print as integer or "p/q" strings; never floats.  Machine
 output via --json; DOT via export-dot; ULTRATREE_SIZE_CAP raises or lowers
-the guarded enumeration caps.
+the truncation cap (1..1,000,000 vertices).  ``scan`` enumerates at most 6
+points and 4 distance values.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from . import builders
 from .classify import classify, free_predicates, isolated_points
 from .core_tree import build_tree, distance_matrix, is_isomorphic_labeled
 from .errors import InvalidDeclaration, UltraTreeError
-from .finite_space import (
-    REPRESENTABLE_CAP,
-    conjecture_predicate,
-    conjecture_scan,
-    representable,
-)
+from .finite_space import conjecture_predicate, conjecture_scan, representable
 from .hull import attachment_point, hull
 from .ratio import format_rational, parse_rational
 from .spaces import isometric
@@ -346,8 +342,7 @@ def _cmd_conjecture_predicate(args) -> int:
 
 def _cmd_representable(args) -> int:
     space = space_from_json(_load(_single(args.space, "--space")))
-    cap = _env_cap(REPRESENTABLE_CAP, 7)
-    tree = representable(space, cap=cap)
+    tree = representable(space)
     if args.json:
         payload = {"representable": tree is not None}
         if tree is not None:
@@ -364,8 +359,7 @@ def _cmd_scan(args) -> int:
     if args.n is None or not args.values:
         raise _UsageError("scan needs --n and --values")
     values = _parse_values(args.values)
-    cap = _env_cap(REPRESENTABLE_CAP + 1, 7)
-    report = conjecture_scan(args.n, values, workers=args.workers, cap=cap)
+    report = conjecture_scan(args.n, values)
     lines = []
     for r in report.records:
         rec = {
@@ -470,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, metavar="N")
         p.add_argument("--n", type=int, metavar="N")
         p.add_argument("--values", metavar="LIST")
-        p.add_argument("--workers", type=int, metavar="N")
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", metavar="FILE")
         p.set_defaults(func=func)

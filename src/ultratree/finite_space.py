@@ -5,26 +5,24 @@ The predicate asks: is every distinct open ball B of the space expressible
 as B = {x : d(x, c) = r} ∪ {c} for some center c in B and radius r > 0?
 
 Representability asks: is there a labeled tree on exactly the point set
-whose generated path-maximum distance reproduces the matrix entrywise?  The
-search runs over every tree shape (Prüfer enumeration) and prunes label
-assignments edge by edge: adjacent vertices u, v must satisfy
-max(l(u), l(v)) = d(u, v), which forces l(v) once l(u) is chosen smaller.
+whose generated path-maximum distance reproduces the matrix entrywise?  It
+is read off the dendrogram (``spaces.canonical_hierarchy``) in O(n^2): a
+witness exists iff the space is proper and every dendrogram node has a
+leaf child.  ``enumerate_spaces`` generates each dendrogram shape, hence
+each isometry class, exactly once.  The predicate is computed from balls
+and spheres independently, so the scan's agreement tally compares two
+separate implementations.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_tree import (
-    LabeledTree,
-    build_tree,
-    distance_matrix,
-    is_non_degenerate,
-)
-from .errors import SizeCapExceeded
+from .core_tree import LabeledTree, build_tree
+from .errors import InvalidDeclaration, SizeCapExceeded
+from .ratio import format_rational
 from .spaces import (
     Ball,
     Hierarchy,
@@ -35,8 +33,6 @@ from .spaces import (
     sphere,
 )
 
-REPRESENTABLE_CAP = 5
-REPRESENTABLE_CAP_PRUNED = 6
 ENUMERATE_POINT_CAP = 6
 ENUMERATE_VALUE_CAP = 4
 
@@ -73,195 +69,98 @@ def conjecture_predicate(space: UltraSpace) -> tuple[bool, Ball | None]:
 # representability by a labeled tree on the point set
 
 
-def _prufer_trees(points: tuple[str, ...]):
-    """Every labeled tree on ``points`` as an edge list, via Prüfer decode."""
-    n = len(points)
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(points[0], points[1])]
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for s in seq:
-            degree[s] += 1
-        edges = []
-        avail = sorted(i for i in range(n) if degree[i] == 1)
-        seq_list = list(seq)
-        for s in seq_list:
-            leaf = avail.pop(0)
-            edges.append((points[leaf], points[s]))
-            degree[s] -= 1
-            if degree[s] == 1:
-                # insert keeping avail sorted
-                lo, hi = 0, len(avail)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if avail[mid] < s:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                avail.insert(lo, s)
-        u, v = avail
-        edges.append((points[u], points[v]))
-        yield edges
+def representable(space: UltraSpace) -> LabeledTree | None:
+    """A labeled tree on exactly the point set whose generated distance
+    matrix equals the space's matrix, or None if there is none.
 
-
-def _label_search(
-    space: UltraSpace,
-    edges: list[tuple[str, str]],
-    candidates: dict[str, list[Fraction]],
-) -> dict[str, Fraction] | None:
-    """Assign labels along a DFS order; adjacent pairs must satisfy
-    max(l(u), l(v)) = d(u, v)."""
-    adj: dict[str, list[str]] = {p: [] for p in space.points}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    root = space.points[0]
-    order: list[tuple[str, str | None]] = []
-    stack = [(root, None)]
-    seen = {root}
-    while stack:
-        x, par = stack.pop()
-        order.append((x, par))
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append((y, x))
-
-    assignment: dict[str, Fraction] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v, par = order[i]
-        if par is None:
-            options = candidates[v]
-        else:
-            need = space.d(par, v)
-            lp = assignment[par]
-            if lp > need:
-                return False
-            if lp < need:
-                options = [need] if need in candidates[v] else []
-            else:
-                options = [x for x in candidates[v] if x <= need]
-        for x in options:
-            assignment[v] = x
-            if extend(i + 1):
-                return True
-            del assignment[v]
-        return False
-
-    return dict(assignment) if extend(0) else None
-
-
-def representable(
-    space: UltraSpace,
-    cap: int = REPRESENTABLE_CAP,
-    label_pool: list[Fraction] | None = None,
-) -> LabeledTree | None:
-    """Exhaustive search for a labeled tree on exactly the point set whose
-    generated distance matrix equals the space's matrix.
-
-    Candidate labels default to {0} plus the attained distances, pruned per
-    vertex by l(v) <= min over u of d(u, v) (the generated distance between
-    u and v is at least l(v)).  ``label_pool`` overrides the default pool
-    (used to validate that the pruning is lossless).
+    Such a tree exists iff the space is proper and every node of its
+    dendrogram has a leaf child.  Necessary: in a generating tree a node's
+    cluster is a subtree, some point of it carries the cluster's diameter as
+    its label, and that point is at that distance from all the others, so it
+    is a leaf child.  Sufficient: label each point with its nearest-neighbour distance and
+    join one leaf child of each node (its hub) to the node's other leaf
+    children and to the hub of each non-leaf child; the largest label on a
+    path between two children of a node is then the node's value.
     """
-    n = len(space)
-    if n > cap:
-        raise SizeCapExceeded(n, cap, "representability search")
-    if n == 1:
-        p = space.points[0]
-        return build_tree([p], [], {p: Fraction(0)})
-
-    pool = sorted(set(label_pool)) if label_pool is not None else sorted(
-        {Fraction(0)} | set(space.attained())
-    )
-    candidates: dict[str, list[Fraction]] = {}
-    for v in space.points:
-        bound = min(space.d(u, v) for u in space.points if u != v)
-        candidates[v] = [x for x in pool if x <= bound]
-
-    for edges in _prufer_trees(space.points):
-        labeling = _label_search(space, edges, candidates)
-        if labeling is None:
-            continue
-        tree = build_tree(space.points, edges, labeling)
-        ok, _ = is_non_degenerate(tree)
-        if not ok:
-            continue
-        got = distance_matrix(tree)
-        if got.dist == tuple(
-            tuple(space.d(u, v) for v in got.points) for u in got.points
-        ):
-            return tree
-    return None
+    if not space.proper:
+        return None
+    root = canonical_hierarchy(space)
+    if root.is_leaf:
+        return build_tree([root.point], [], {root.point: Fraction(0)})
+    labels: dict[str, Fraction] = {}
+    edges: list[tuple[str, str]] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        hub = node.children[0]  # leaves sort first
+        if not hub.is_leaf:
+            return None
+        for c in node.children:
+            if c.is_leaf:
+                labels[c.point] = node.value
+            else:
+                stack.append(c)
+            if c is not hub:
+                # a non-leaf child's hub is its first child, checked when popped
+                other = c if c.is_leaf else c.children[0]
+                edges.append((hub.point, other.point))
+    return build_tree(space.points, edges, labels)
 
 
 # ---------------------------------------------------------------------------
 # enumeration of all small spaces up to isometry
 
+_LEAF = Hierarchy(Fraction(0), point="x")
 
-def _all_partitions(items: list[int]):
-    """Every set partition of ``items`` (standard refinement recursion)."""
-    if not items:
-        yield []
+
+def _partitions(k: int, most: int):
+    """Integer partitions of k into parts of at most ``most``, largest first."""
+    if k == 0:
+        yield ()
         return
-    head, tail = items[0], items[1:]
-    for sub in _all_partitions(tail):
-        for i in range(len(sub)):
-            yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
-        yield [[head]] + sub
+    for part in range(min(k, most), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
 
 
-def _hierarchies(ids: list[int], values: list[Fraction]):
-    """Dendrograms on the leaf set ``ids`` with internal values from
-    ``values`` (sorted ascending), strictly decreasing root to leaves."""
-    if len(ids) == 1:
-        yield Hierarchy(Fraction(0), point=f"x{ids[0]}")
-        return
-    for vi, v in enumerate(values):
-        for blocks in _all_partitions(ids):
-            if len(blocks) < 2:
-                continue
-            child_lists = [
-                list(_hierarchies(b, values[:vi])) for b in blocks
-            ]
-            for combo in itertools.product(*child_lists):
-                yield Hierarchy(v, children=tuple(combo))
-
-
-def enumerate_spaces(
-    n: int,
-    values: list[Fraction],
-    point_cap: int = ENUMERATE_POINT_CAP,
-    value_cap: int = ENUMERATE_VALUE_CAP,
-) -> list[UltraSpace]:
+def enumerate_spaces(n: int, values: list[Fraction]) -> list[UltraSpace]:
     """All ultrametric spaces on n points with distances from ``values``,
-    one representative per isometry class, in canonical-encoding order."""
-    if n < 1:
-        raise SizeCapExceeded(n, point_cap, "space enumeration")
-    if n > point_cap:
-        raise SizeCapExceeded(n, point_cap, "space enumeration")
-    vals = sorted({Fraction(v) for v in values})
-    if any(v <= 0 for v in vals):
-        raise SizeCapExceeded(0, value_cap, "distance values must be positive")
-    if len(vals) > value_cap:
-        raise SizeCapExceeded(len(vals), value_cap, "distance value set")
-    if n == 1:
-        return [space_from_hierarchy(Hierarchy(Fraction(0), point="x0"))]
+    one representative per isometry class, in canonical-encoding order.
 
-    out: dict[str, UltraSpace] = {}
-    for h in _hierarchies(list(range(n)), vals):
-        space = space_from_hierarchy(h)
-        key = canonical_hierarchy(space).encode()
-        if key not in out:
-            out[key] = space
-    return [out[k] for k in sorted(out)]
+    Each class is one dendrogram shape, generated once: a node with value v
+    takes a multiset of at least two children whose sizes sum to its own
+    and whose values are below v.
+    """
+    if n < 1:
+        raise InvalidDeclaration(f"n must be at least 1, got {n}")
+    if n > ENUMERATE_POINT_CAP:
+        raise SizeCapExceeded(n, ENUMERATE_POINT_CAP, "space enumeration")
+    vals = sorted({Fraction(v) for v in values})
+    if vals and vals[0] <= 0:
+        raise InvalidDeclaration(
+            f"values must be positive, got {format_rational(vals[0])}"
+        )
+    if len(vals) > ENUMERATE_VALUE_CAP:
+        raise SizeCapExceeded(len(vals), ENUMERATE_VALUE_CAP, "distance value set")
+    # below[k]: the shapes on k points whose values are all below the value
+    # being placed; grown one value at a time
+    below: list[list[Hierarchy]] = [[], [_LEAF]] + [[] for _ in range(n - 1)]
+    for v in vals:
+        at_v: list[list[Hierarchy]] = [[] for _ in range(n + 1)]
+        for k in range(2, n + 1):
+            for sizes in _partitions(k, k - 1):
+                runs = [
+                    itertools.combinations_with_replacement(below[s], len(list(g)))
+                    for s, g in itertools.groupby(sizes)
+                ]
+                for pick in itertools.product(*runs):
+                    kids = sorted(
+                        (c for run in pick for c in run), key=lambda c: c.shape
+                    )
+                    at_v[k].append(Hierarchy(v, children=tuple(kids)))
+        for k in range(n + 1):
+            below[k] += at_v[k]
+    return [space_from_hierarchy(h) for h in sorted(below[n], key=Hierarchy.encode)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,42 +185,27 @@ class ScanReport:
     disagree_count: int
 
 
-def conjecture_scan(
-    n: int,
-    values: list[Fraction],
-    workers: int | None = None,
-    cap: int = REPRESENTABLE_CAP_PRUNED,
-) -> ScanReport:
+def conjecture_scan(n: int, values: list[Fraction]) -> ScanReport:
     """Evaluate the sphere-plus-center predicate and representability on
     every isometry class of spaces; report every disagreement (a would-be
-    counterexample).  Deterministic record order regardless of workers."""
-    spaces = enumerate_spaces(n, values)
-
-    def work(item: tuple[int, UltraSpace]) -> ScanRecord:
-        i, space = item
+    counterexample).  Records are in canonical-encoding order."""
+    records = []
+    for i, space in enumerate(enumerate_spaces(n, values)):
         pred, failing = conjecture_predicate(space)
-        tree = representable(space, cap=cap)
-        return ScanRecord(
+        tree = representable(space)
+        records.append(ScanRecord(
             space_id=f"n{n}-{i:03d}",
             canonical_hierarchy=canonical_hierarchy(space).encode(),
             predicate=pred,
             failing_ball=failing,
             representable=tree is not None,
             witness_tree=tree,
-        )
-
-    items = list(enumerate(spaces))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(work, items))
-    else:
-        records = tuple(work(it) for it in items)
-
+        ))
     disagreements = tuple(
         r.space_id for r in records if r.predicate != r.representable
     )
     return ScanReport(
-        records=records,
+        records=tuple(records),
         disagreements=disagreements,
         agree_count=len(records) - len(disagreements),
         disagree_count=len(disagreements),

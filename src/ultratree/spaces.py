@@ -9,11 +9,12 @@ Every proper finite ultrametric space is equivalently a dendrogram: a rooted
 tree whose internal nodes carry strictly decreasing positive values root-to-
 leaf and whose leaves are the points; the distance of two points is the value
 at their join.  ``canonical_hierarchy`` computes that tree in a canonical
-form, which decides isometry and drives exhaustive space enumeration.
+form in O(n^2), which decides isometry and representability.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -154,16 +155,18 @@ class Hierarchy:
         return self.point is not None
 
     def size(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.size() for c in self.children)
+        return len(self.leaves())
 
     def leaves(self) -> list[str]:
-        if self.is_leaf:
-            return [self.point]
+        """Point names in child order (a pre-order walk)."""
         out: list[str] = []
-        for c in self.children:
-            out.extend(c.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                out.append(node.point)
+            else:
+                stack.extend(reversed(node.children))
         return out
 
     @cached_property
@@ -171,68 +174,91 @@ class Hierarchy:
         """Name-free canonical encoding; equal shapes <=> isometric spaces."""
         if self.is_leaf:
             return ()
+        # fill uncached shapes below bottom-up, so no call recurses deeply
+        below, stack = [], list(self.children)
+        while stack:
+            node = stack.pop()
+            if "shape" not in node.__dict__ and not node.is_leaf:
+                below.append(node)
+                stack.extend(node.children)
+        for node in reversed(below):
+            node.shape
         return (self.value, tuple(sorted(c.shape for c in self.children)))
 
     def encode(self) -> str:
         """Compact canonical string, e.g. ``(2 (1 * *) (1 * *))``."""
-        if self.is_leaf:
-            return "*"
-        inner = " ".join(c.encode() for c in sorted(self.children, key=lambda c: c.shape))
-        return f"({format_rational(self.value)} {inner})"
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif node.is_leaf:
+                parts.append("*")
+            else:
+                parts.append(f"({format_rational(node.value)}")
+                stack.append(")")
+                for c in reversed(sorted(node.children, key=lambda c: c.shape)):
+                    stack += (c, " ")
+        return "".join(parts)
 
 
 def canonical_hierarchy(space: UltraSpace) -> Hierarchy:
-    """Dendrogram of the space (children ordered canonically by shape)."""
+    """Dendrogram of the space, built bottom-up in O(n^2).
 
-    def build(idx: list[int]) -> Hierarchy:
-        if len(idx) == 1:
-            return Hierarchy(Fraction(0), point=space.points[idx[0]])
-        diam = max(
-            space.dist[i][j] for a, i in enumerate(idx) for j in idx[a + 1 :]
-        )
-        if diam == 0:
-            # pseudoultrametric clump: keep a flat zero node
-            kids = tuple(
-                Hierarchy(Fraction(0), point=space.points[i]) for i in idx
-            )
-            return Hierarchy(Fraction(0), children=kids)
-        # d(x,y) < diam is an equivalence relation inside this cluster
-        classes: list[list[int]] = []
-        for i in idx:
-            for cls in classes:
-                if space.dist[i][cls[0]] < diam:
-                    cls.append(i)
-                    break
-            else:
-                classes.append([i])
-        kids = tuple(build(cls) for cls in classes)
-        kids = tuple(sorted(kids, key=lambda h: h.shape))
-        return Hierarchy(diam, children=kids)
+    Each point is joined to its nearest earlier point; ``validate_space``
+    proves that the path maxima of this spanning tree are the distances.
+    Union-find then merges clusters over its n - 1 edges in weight order:
+    the clusters joined at one weight are one node's children, sorted by
+    (shape, lowest point index).
+    """
+    dist = space.dist
+    n = len(space.points)
+    nodes = [Hierarchy(Fraction(0), point=p) for p in space.points]
+    edges = []
+    for v in range(1, n):
+        before = dist[v][:v]
+        w = min(before)
+        edges.append((w, v, before.index(w)))
+    edges.sort()
+    parent = list(range(n))  # union-find over point indices
 
-    return build(list(range(len(space.points))))
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # a cluster lives at its root, which is always its lowest point index
+    for w, group in itertools.groupby(edges, key=lambda e: e[0]):
+        joined: set[int] = set()
+        for _, v, p in group:
+            a, b = find(v), find(p)
+            joined.update((a, b))
+            parent[max(a, b)] = min(a, b)
+        merged: dict[int, list[int]] = {}
+        for r in joined:
+            merged.setdefault(find(r), []).append(r)
+        for root, kids in merged.items():
+            kids.sort(key=lambda r: (nodes[r].shape, r))
+            nodes[root] = Hierarchy(w, children=tuple(nodes[r] for r in kids))
+    return nodes[0]
 
 
 def isometric(x: UltraSpace, y: UltraSpace) -> dict[str, str] | None:
-    """Distance-preserving bijection x -> y, or None."""
+    """Distance-preserving bijection x -> y, or None.
+
+    Both dendrograms list equal-shape children alike, so pairing their
+    leaves in order preserves every distance.  Shapes are compared through
+    their encodings: comparing two deep shape tuples recurses once per level.
+    """
     if len(x) != len(y):
         return None
     hx = canonical_hierarchy(x)
     hy = canonical_hierarchy(y)
-    if hx.shape != hy.shape:
+    if hx.encode() != hy.encode():
         return None
-    mapping: dict[str, str] = {}
-
-    def align(a: Hierarchy, b: Hierarchy) -> None:
-        if a.is_leaf:
-            mapping[a.point] = b.point
-            return
-        # children on both sides are sorted by shape; within an equal-shape
-        # run any pairing is distance-preserving, so pair positionally
-        for ca, cb in zip(a.children, b.children):
-            align(ca, cb)
-
-    align(hx, hy)
-    return mapping
+    return dict(zip(hx.leaves(), hy.leaves()))
 
 
 def space_from_hierarchy(h: Hierarchy, prefix: str = "p") -> UltraSpace:
@@ -241,23 +267,19 @@ def space_from_hierarchy(h: Hierarchy, prefix: str = "p") -> UltraSpace:
     width = max(1, len(str(n - 1)))
     names = [f"{prefix}{i:0{width}d}" for i in range(n)]
     dist = [[Fraction(0)] * n for _ in range(n)]
-    counter = [0]
-
-    def assign(node: Hierarchy) -> list[int]:
-        if node.is_leaf:
-            i = counter[0]
-            counter[0] += 1
-            return [i]
-        groups = [assign(c) for c in node.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        dist[a][b] = node.value
-                        dist[b][a] = node.value
-        return [i for g in groups for i in g]
-
-    assign(h)
+    # leaves are numbered in order, so a node holds the points start..stop-1;
+    # a child's points are at the node's value from its siblings' points
+    stack = [(h, 0, n)]
+    while stack:
+        node, start, stop = stack.pop()
+        lo = start
+        for c in node.children:
+            hi = lo + c.size()
+            for a in range(lo, hi):
+                dist[a][start:lo] = [node.value] * (lo - start)
+                dist[a][hi:stop] = [node.value] * (stop - hi)
+            stack.append((c, lo, hi))
+            lo = hi
     return validate_space(names, dist)
 
 

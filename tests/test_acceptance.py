@@ -46,6 +46,7 @@ from ultratree.symbolic import (
 from ultratree.witness import compact_labeling_witness, discrete_tb_labeling_witness
 
 from conftest import random_nondegenerate_tree, random_tree
+from test_finite_space import prufer_representable
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -111,7 +112,7 @@ def test_criterion_02_four_point_space_is_not_representable(capsys):
     _finish(
         capsys, 2, t0, 10.0, violations,
         "predicate false (failing ball = whole space), not representable "
-        f"across all {4 ** 2} candidate trees with pruned labels",
+        "(its dendrogram root has no leaf child)",
     )
 
 
@@ -321,22 +322,26 @@ def test_criterion_08_conjecture_scan_self_consistency(capsys):
                     )
         agree += report.agree_count
         disagree += report.disagree_count
-        # label pruning must not change any verdict: rerun every space
-        # over an unrestricted five-value grid and compare yes/no
+        # label pruning must not change the exhaustive search's verdict:
+        # rerun it on every space over an unrestricted five-value grid and
+        # compare yes/no, and with the dendrogram verdict
         for sp in enumerate_spaces(n, values):
-            pruned = representable(sp) is not None
-            full = representable(
+            pruned = prufer_representable(sp) is not None
+            full = prufer_representable(
                 sp, label_pool=[F(0), F(1, 2), F(1), F(3, 2), F(2)]
             ) is not None
             if pruned != full:
                 violations.append("label pruning changed a verdict")
+            if (representable(sp) is not None) != full:
+                violations.append("dendrogram and search verdicts differ")
     if not seen_four_point:
         violations.append("four-point class missing from the n=4 scan")
     _finish(
         capsys, 8, t0, 600.0, violations,
         f"scan over n <= 4, values {{1, 2}}: {records} spaces, both "
         "columns filled, four-point class fails both, pruned and "
-        f"unrestricted label grids agree; tally (reported, not "
+        "unrestricted label grids of the search agree with the dendrogram "
+        f"verdict; tally (reported, not "
         f"asserted): {agree} agree, {disagree} disagree",
     )
 

@@ -1,30 +1,190 @@
+"""Predicate, representability, enumeration and the scan.
+
+``representable`` reads its verdict and witness off the dendrogram.
+``prufer_representable`` below is the exhaustive search it replaced: every
+labeled tree on the point set (Prüfer decoding) with labels assigned edge by
+edge.  It is kept here as the oracle for small spaces.
+"""
+
 from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_nondegenerate_tree
 from ultratree.builders import four_point_space, star_vs_path
-from ultratree.core_tree import distance_matrix
-from ultratree.errors import SizeCapExceeded
+from ultratree.core_tree import (
+    LabeledTree,
+    build_tree,
+    distance_matrix,
+    is_non_degenerate,
+)
+from ultratree.errors import InvalidDeclaration, SizeCapExceeded
 from ultratree.finite_space import (
     conjecture_predicate,
     conjecture_scan,
     enumerate_spaces,
     representable,
 )
+from ultratree.ratio import format_rational
 from ultratree.spaces import (
+    Hierarchy,
+    UltraSpace,
     balls,
     canonical_hierarchy,
     isometric,
+    space_from_hierarchy,
     sphere,
     validate_space,
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive search, kept as the oracle
+
+
+def _prufer_trees(points: tuple[str, ...]):
+    """Every labeled tree on ``points`` as an edge list, via Prüfer decode."""
+    n = len(points)
+    if n == 1:
+        yield []
+        return
+    if n == 2:
+        yield [(points[0], points[1])]
+        return
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for s in seq:
+            degree[s] += 1
+        edges = []
+        avail = sorted(i for i in range(n) if degree[i] == 1)
+        seq_list = list(seq)
+        for s in seq_list:
+            leaf = avail.pop(0)
+            edges.append((points[leaf], points[s]))
+            degree[s] -= 1
+            if degree[s] == 1:
+                # insert keeping avail sorted
+                lo, hi = 0, len(avail)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if avail[mid] < s:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                avail.insert(lo, s)
+        u, v = avail
+        edges.append((points[u], points[v]))
+        yield edges
+
+
+def _label_search(
+    space: UltraSpace,
+    edges: list[tuple[str, str]],
+    candidates: dict[str, list[Fraction]],
+) -> dict[str, Fraction] | None:
+    """Assign labels along a DFS order; adjacent pairs must satisfy
+    max(l(u), l(v)) = d(u, v)."""
+    adj: dict[str, list[str]] = {p: [] for p in space.points}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    root = space.points[0]
+    order: list[tuple[str, str | None]] = []
+    stack = [(root, None)]
+    seen = {root}
+    while stack:
+        x, par = stack.pop()
+        order.append((x, par))
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append((y, x))
+
+    assignment: dict[str, Fraction] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v, par = order[i]
+        if par is None:
+            options = candidates[v]
+        else:
+            need = space.d(par, v)
+            lp = assignment[par]
+            if lp > need:
+                return False
+            if lp < need:
+                options = [need] if need in candidates[v] else []
+            else:
+                options = [x for x in candidates[v] if x <= need]
+        for x in options:
+            assignment[v] = x
+            if extend(i + 1):
+                return True
+            del assignment[v]
+        return False
+
+    return dict(assignment) if extend(0) else None
+
+
+def prufer_representable(
+    space: UltraSpace,
+    label_pool: list[Fraction] | None = None,
+) -> LabeledTree | None:
+    """Exhaustive search for a labeled tree on exactly the point set whose
+    generated distance matrix equals the space's matrix.
+
+    Candidate labels default to {0} plus the attained distances, pruned per
+    vertex by l(v) <= min over u of d(u, v) (the generated distance between
+    u and v is at least l(v)).  ``label_pool`` overrides the default pool
+    (used to validate that the pruning is lossless).
+    """
+    n = len(space)
+    if n == 1:
+        p = space.points[0]
+        return build_tree([p], [], {p: Fraction(0)})
+
+    pool = sorted(set(label_pool)) if label_pool is not None else sorted(
+        {Fraction(0)} | set(space.attained())
+    )
+    candidates: dict[str, list[Fraction]] = {}
+    for v in space.points:
+        bound = min(space.d(u, v) for u in space.points if u != v)
+        candidates[v] = [x for x in pool if x <= bound]
+
+    for edges in _prufer_trees(space.points):
+        labeling = _label_search(space, edges, candidates)
+        if labeling is None:
+            continue
+        tree = build_tree(space.points, edges, labeling)
+        ok, _ = is_non_degenerate(tree)
+        if not ok:
+            continue
+        got = distance_matrix(tree)
+        if got.dist == tuple(
+            tuple(space.d(u, v) for v in got.points) for u in got.points
+        ):
+            return tree
+    return None
+
+
+def assert_witness(space, tree):
+    """The witness is a non-degenerate tree on the points that regenerates
+    the matrix entry for entry."""
+    assert tree is not None
+    assert sorted(tree.vertices) == sorted(space.points)
+    assert is_non_degenerate(tree)[0]
+    got = distance_matrix(tree)
+    assert got.dist == tuple(
+        tuple(space.d(u, v) for v in got.points) for u in got.points
+    )
 
 
 def uniform_space(n, value=F(1)):
@@ -112,15 +272,15 @@ def test_representable_star_matrix():
 
 
 def test_representable_cap_enforced():
-    with pytest.raises(SizeCapExceeded):
-        representable(uniform_space(6))
-    # explicit cap raise admits the six-point uniform space
-    assert representable(uniform_space(6), cap=6) is not None
+    """No size cap remains: the check is O(n^2) on the dendrogram."""
+    for n in (6, 50):
+        space = uniform_space(n)
+        assert_witness(space, representable(space))
 
 
 def test_representable_roundtrip_random_trees():
     """Every generated matrix must be recognized as representable and the
-    witness must generate the same matrix (search is its own oracle here)."""
+    witness must generate the same matrix."""
     rng = random.Random(424)
     for _ in range(20):
         tree = random_nondegenerate_tree(rng, rng.randrange(1, 6))
@@ -131,14 +291,109 @@ def test_representable_roundtrip_random_trees():
 
 
 def test_representable_label_pool_pruning_lossless():
-    """The default pool {0} + attained distances finds a witness whenever a
-    finer grid does (labels outside the attained set never help)."""
+    """The oracle's default pool {0} + attained distances finds a witness
+    whenever a finer grid does (labels outside the attained set never help)."""
     fine = [F(0), F(1, 2), F(1), F(3, 2), F(2)]
     for sp in enumerate_spaces(4, [F(1), F(2)]):
-        default = representable(sp)
-        widened = representable(sp, label_pool=fine)
+        default = prufer_representable(sp)
+        widened = prufer_representable(sp, label_pool=fine)
         assert (default is None) == (widened is None)
-    assert representable(four_point_space(), label_pool=fine) is None
+    assert prufer_representable(four_point_space(), label_pool=fine) is None
+
+
+# the spaces of n = 1..6 points over each of these value sets: 144 classes
+SMALL_VALUE_SETS = ((F(1),), (F(1), F(2)), (F(1), F(2), F(3)))
+
+
+def test_representable_agrees_with_search_and_predicate_on_small_spaces():
+    tally = {True: 0, False: 0}
+    for n in range(1, 7):
+        for values in SMALL_VALUE_SETS:
+            for sp in enumerate_spaces(n, list(values)):
+                tree = representable(sp)
+                verdict = tree is not None
+                assert verdict == (prufer_representable(sp) is not None), sp
+                assert verdict == conjecture_predicate(sp)[0], sp
+                if verdict:
+                    assert_witness(sp, tree)
+                tally[verdict] += 1
+    assert tally == {True: 102, False: 42}
+
+
+def random_hierarchy(rng: random.Random, n: int, top: Fraction) -> Hierarchy:
+    """A random dendrogram on n leaves with values below ``top``."""
+    if n == 1:
+        return Hierarchy(F(0), point="x")
+    value = top * F(rng.randint(1, 3), 4)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    kids = [random_hierarchy(rng, k, value) for k in sizes]
+    return Hierarchy(value, children=tuple(kids))
+
+
+def test_representable_agrees_with_search_on_seven_points():
+    """Seven points are past the enumeration cap.  The first space is the
+    four-point space with three more points at distance 3: the search tries
+    all 7^5 trees to refuse it."""
+    leaf = Hierarchy(F(0), point="x")
+    pair = Hierarchy(F(1), children=(leaf, leaf))
+    h = Hierarchy(F(3), children=(Hierarchy(F(2), children=(pair, pair)), leaf, leaf, leaf))
+    cases = [space_from_hierarchy(h)]
+    assert canonical_hierarchy(cases[0]).encode() == "(3 * * * (2 (1 * *) (1 * *)))"
+    rng = random.Random(7)
+    cases += [space_from_hierarchy(random_hierarchy(rng, 7, F(4))) for _ in range(4)]
+    cases += [distance_matrix(random_nondegenerate_tree(rng, 7)) for _ in range(4)]
+    verdicts = []
+    for sp in cases:
+        tree = representable(sp)
+        verdicts.append(tree is not None)
+        assert verdicts[-1] == (prufer_representable(sp) is not None)
+        assert verdicts[-1] == conjecture_predicate(sp)[0]
+        if tree is not None:
+            assert_witness(sp, tree)
+    assert verdicts[0] is False and verdicts[-4:] == [True] * 4
+    assert False in verdicts[1:5] and True in verdicts[1:5], verdicts
+
+
+def test_representable_1200_point_path_within_budget(capsys):
+    """An increasing-label path has a 1,199-level dendrogram."""
+    budget = 10.0
+    n = 1200
+    names = [f"v{i:04d}" for i in range(n)]
+    labels = [F(i + 1, 3) for i in range(n)]
+    tree = build_tree(names, list(zip(names, names[1:])), dict(zip(names, labels)))
+    # d(v_i, v_j) is the label of the later vertex, so the matrix is
+    # ultrametric by construction
+    space = UltraSpace(points=tuple(names), proper=True, dist=tuple(
+        tuple(labels[max(i, j)] if i != j else F(0) for j in range(n)) for i in range(n)
+    ))
+    # each level holds one new point and the path below it
+    code = f"({format_rational(labels[1])} * *)"
+    for k in range(2, n):
+        code = f"({format_rational(labels[k])} * {code})"
+    t0 = time.monotonic()
+    h = canonical_hierarchy(space)
+    witness = representable(space)
+    elapsed = time.monotonic() - t0
+    # the witness is the path with v1 moved to hang off v0, and v0 labeled
+    # by its distance to v1: every path maximum is the later vertex's label
+    ok = (
+        elapsed < budget
+        and h.leaves() == names[:1:-1] + names[:2]
+        and h.encode() == code
+        and witness is not None
+        and witness.edges == ((names[0], names[1]), (names[0], names[2])) + tree.edges[2:]
+        and witness.labels == {**tree.labels, names[0]: labels[1]}
+        and isometric(space, space) == {v: v for v in names}
+    )
+    with capsys.disabled():
+        print(
+            f"canonical_hierarchy + representable n=1200: "
+            f"{'PASS' if ok else 'FAIL'} — increasing-label path; "
+            f"{elapsed:.2f}s of {budget}s",
+            flush=True,
+        )
+    assert ok, f"took {elapsed:.2f}s, budget {budget}s"
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +461,7 @@ def test_enumerate_caps():
         enumerate_spaces(7, [F(1)])
     with pytest.raises(SizeCapExceeded):
         enumerate_spaces(3, [F(1), F(2), F(3), F(4), F(5)])
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(InvalidDeclaration, match="n must be at least 1"):
         enumerate_spaces(0, [F(1)])
 
 
@@ -241,7 +496,7 @@ def test_scan_four_point_classes():
 
 def test_scan_workers_deterministic():
     seq = conjecture_scan(4, [F(1), F(2)])
-    par = conjecture_scan(4, [F(1), F(2)], workers=2)
+    par = conjecture_scan(4, [F(1), F(2)])
     assert [r.space_id for r in seq.records] == [r.space_id for r in par.records]
     assert [r.canonical_hierarchy for r in seq.records] == [
         r.canonical_hierarchy for r in par.records

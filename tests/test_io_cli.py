@@ -412,9 +412,7 @@ def test_cli_representable_positive_witness(workdir, capsys):
 def test_cli_scan_is_deterministic_across_worker_counts(workdir, capsys):
     code, out1, err1 = run_cli(capsys, ["scan", "--n", "4", "--values", "1,2"])
     assert code == 0
-    code, out2, err2 = run_cli(
-        capsys, ["scan", "--n", "4", "--values", "1,2", "--workers", "2"]
-    )
+    code, out2, err2 = run_cli(capsys, ["scan", "--n", "4", "--values", "1,2"])
     assert code == 0
     assert out1 == out2
     assert err1 == err2 == "scanned 5 spaces: 5 agree, 0 disagree\n"
@@ -434,6 +432,36 @@ def test_cli_scan_is_deterministic_across_worker_counts(workdir, capsys):
     failing = [r for r in records if not r["predicate"]]
     assert len(failing) == 1
     assert failing[0]["canonical_hierarchy"] == "(2 (1 * *) (1 * *))"
+
+
+SCAN_ARGUMENT_ERRORS = [
+    (["--n", "0", "--values", "1"], 1,
+     "error: InvalidDeclaration: n must be at least 1, got 0\n"),
+    (["--n", "-2", "--values", "1"], 1,
+     "error: InvalidDeclaration: n must be at least 1, got -2\n"),
+    (["--n", "3", "--values", "0,1"], 1,
+     "error: InvalidDeclaration: values must be positive, got 0\n"),
+    (["--n", "3", "--values", "2,-1/2"], 1,
+     "error: InvalidDeclaration: values must be positive, got -1/2\n"),
+    (["--n", "7", "--values", "1"], 1,
+     "error: SizeCapExceeded: space enumeration size 7 exceeds cap 6\n"),
+    (["--n", "3", "--values", "1,2,3,4,5"], 1,
+     "error: SizeCapExceeded: distance value set size 5 exceeds cap 4\n"),
+    (["--n", "3"], 2, "usage error: scan needs --n and --values\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", SCAN_ARGUMENT_ERRORS)
+def test_cli_scan_argument_errors_are_named(workdir, capsys, argv, code, message):
+    got, out, err = run_cli(capsys, ["scan"] + argv)
+    assert (got, out, err) == (code, "", message)
+
+
+def test_cli_has_no_workers_flag(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--n", "4", "--values", "1,2", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_cli_scan_out_file(workdir, capsys):
@@ -592,18 +620,18 @@ def test_cli_malformed_matrix_json_is_a_named_error(workdir, capsys, doc, messag
 
 
 def test_cli_env_cap_override(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("ULTRATREE_SIZE_CAP", "99")
+    monkeypatch.setenv("ULTRATREE_SIZE_CAP", "1000001")
     code, out, err = run_cli(
-        capsys, ["representable", "--space", "four_point.json"]
+        capsys, ["truncate", "--symbolic", "fig10.json", "--budget", "8"]
     )
     assert code == 1
     assert err == (
-        "error: InvalidDeclaration: ULTRATREE_SIZE_CAP=99 outside the "
-        "guarded range 1..7\n"
+        "error: InvalidDeclaration: ULTRATREE_SIZE_CAP=1000001 outside the "
+        "guarded range 1..1000000\n"
     )
     monkeypatch.setenv("ULTRATREE_SIZE_CAP", "xx")
     code, out, err = run_cli(
-        capsys, ["representable", "--space", "four_point.json"]
+        capsys, ["truncate", "--symbolic", "fig10.json", "--budget", "8"]
     )
     assert code == 1
     assert err == (

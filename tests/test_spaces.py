@@ -1,12 +1,15 @@
-"""``validate_space`` against its slow oracle.
+"""``validate_space`` and ``canonical_hierarchy`` against their slow oracles.
 
 The library checks the strong triangle inequality in O(n^2) by a
 nearest-earlier-point pass; ``triple_loop_oracle`` below is the plain O(n^3)
-check over every triple, kept here as the reference.
+check over every triple, kept here as the reference.  The library builds
+dendrograms bottom-up by union-find over the nearest-earlier-point edges;
+``recursive_hierarchy_oracle`` splits each cluster at its diameter, top down.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from fractions import Fraction as F
@@ -25,7 +28,14 @@ from ultratree.errors import (
     StrongTriangleViolation,
 )
 from ultratree.ratio import format_rational
-from ultratree.spaces import UltraSpace, validate_space
+from ultratree.spaces import (
+    Hierarchy,
+    UltraSpace,
+    canonical_hierarchy,
+    isometric,
+    space_from_hierarchy,
+    validate_space,
+)
 from ultratree.treeio import space_from_json, space_to_json
 
 
@@ -59,6 +69,37 @@ def triple_loop_oracle(points, matrix) -> UltraSpace:
                     raise StrongTriangleViolation(pts[i], pts[j], pts[k])
     proper = all(rows[i][j] > 0 for i in range(n) for j in range(i + 1, n))
     return UltraSpace(points=pts, dist=rows, proper=proper)
+
+
+def recursive_hierarchy_oracle(space: UltraSpace) -> Hierarchy:
+    """Reference dendrogram: split each cluster into its d < diameter classes."""
+
+    def build(idx: list[int]) -> Hierarchy:
+        if len(idx) == 1:
+            return Hierarchy(F(0), point=space.points[idx[0]])
+        diam = max(
+            space.dist[i][j] for a, i in enumerate(idx) for j in idx[a + 1 :]
+        )
+        if diam == 0:
+            # pseudoultrametric clump: keep a flat zero node
+            kids = tuple(
+                Hierarchy(F(0), point=space.points[i]) for i in idx
+            )
+            return Hierarchy(F(0), children=kids)
+        # d(x,y) < diam is an equivalence relation inside this cluster
+        classes: list[list[int]] = []
+        for i in idx:
+            for cls in classes:
+                if space.dist[i][cls[0]] < diam:
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
+        kids = tuple(build(cls) for cls in classes)
+        kids = tuple(sorted(kids, key=lambda h: h.shape))
+        return Hierarchy(diam, children=kids)
+
+    return build(list(range(len(space.points))))
 
 
 def outcome(check, points, matrix):
@@ -194,3 +235,84 @@ def test_300_point_path_matrix_validates_within_budget(capsys):
             flush=True,
         )
     assert ok, f"took {elapsed:.2f}s, budget {budget}s"
+
+
+# ---------------------------------------------------------------------------
+# dendrograms
+
+
+def test_canonical_hierarchy_agrees_with_recursive_oracle():
+    """Same encoding and the same leaf order, on random trees whose labels
+    may be zero (so pseudoultrametric clumps occur) and on shuffled points."""
+    rng = random.Random(19690301)
+    pseudo = 0
+    for trial in range(1200):
+        tree = random_tree(rng, rng.randint(1, 14))
+        space = distance_matrix(tree)
+        if trial % 2:
+            order = rng.sample(range(len(space)), len(space))
+            space = validate_space(
+                [space.points[i] for i in order],
+                [[space.dist[i][j] for j in order] for i in order],
+            )
+        pseudo += not space.proper
+        got, want = canonical_hierarchy(space), recursive_hierarchy_oracle(space)
+        assert got.encode() == want.encode()
+        assert got.leaves() == want.leaves()
+        assert got.shape == want.shape and got.size() == len(space)
+    assert pseudo > 100, pseudo
+
+
+def test_isometric_maps_leaves_in_order():
+    rng = random.Random(4)
+    for _ in range(200):
+        space = distance_matrix(random_tree(rng, rng.randint(1, 9)))
+        order = rng.sample(range(len(space)), len(space))
+        names = [f"q{i}" for i in order]
+        other = validate_space(names, [[space.dist[i][j] for j in order] for i in order])
+        mapping = isometric(space, other)
+        assert mapping is not None and sorted(mapping.values()) == sorted(names)
+        for u in space.points:
+            for v in space.points:
+                assert space.d(u, v) == other.d(mapping[u], mapping[v])
+
+
+def test_dendrogram_calls_leave_no_reference_cycles():
+    """Nothing here needs the cyclic collector: the space and matrix a call
+    holds are freed on return."""
+    rng = random.Random(11)
+    spaces = [distance_matrix(random_tree(rng, n)) for n in (1, 2, 5, 9, 14)]
+    gc.collect()
+    gc.disable()
+    try:
+        for space in spaces:
+            h = canonical_hierarchy(space)
+            isometric(space, space)
+            space_from_hierarchy(h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_space_from_hierarchy_roundtrips_the_dendrogram():
+    rng = random.Random(5)
+    for _ in range(200):
+        space = distance_matrix(random_tree(rng, rng.randint(1, 10)))
+        if not space.proper:
+            continue
+        h = canonical_hierarchy(space)
+        back = space_from_hierarchy(h)
+        assert back.points == tuple(f"p{i:0{len(str(len(space) - 1))}d}" for i in range(len(space)))
+        assert canonical_hierarchy(back).encode() == h.encode()
+        assert isometric(space, back) is not None
+
+
+def test_deep_hand_built_dendrogram_walks_without_recursion():
+    """3,000 levels, each child tuple listing the deep child first."""
+    leaf = Hierarchy(F(0), point="x")
+    h, code = leaf, "*"
+    for k in range(1, 3000):
+        h = Hierarchy(F(k), children=(h, leaf))
+        code = f"({k} * {code})" if k > 1 else "(1 * *)"
+    assert h.size() == 3000 and h.leaves() == ["x"] * 3000
+    assert h.encode() == code
