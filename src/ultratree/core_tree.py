@@ -7,8 +7,12 @@ distance always satisfies the strong triangle inequality, and it separates
 points exactly when the labeling is non-degenerate: no edge may have both
 endpoints labeled 0.
 
-``dl_naive`` walks the path per query and is the reference oracle for the
-indexed variant in :mod:`ultratree.pathmax`.
+Each tree is rooted once, at ``vertices[0]``, in one O(n) pass
+(:attr:`LabeledTree.rooting`); ``path`` then climbs parent pointers in
+O(path length), and ``restrict`` reads the subset's edges off the adjacency
+lists in O(sum of the members' degrees).  ``dl_naive`` walks the path per
+query and is the reference oracle for the indexed variant in
+:mod:`ultratree.pathmax`.
 """
 
 from __future__ import annotations
@@ -56,6 +60,26 @@ class LabeledTree:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
+    def rooting(self) -> tuple[dict[str, str], dict[str, int]]:
+        """``(parent, depth)`` of every vertex, rooted at ``vertices[0]``,
+        which is its own parent.  Built by one iterative pass; both dicts
+        hold each vertex after its parent."""
+        root = self.vertices[0]
+        parent = {root: root}
+        depth = {root: 0}
+        adj = self.adjacency
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            dy = depth[x] + 1
+            for y in adj[x]:
+                if y not in depth:
+                    parent[y] = x
+                    depth[y] = dy
+                    stack.append(y)
+        return parent, depth
 
     def label(self, v: str) -> Fraction:
         try:
@@ -140,28 +164,33 @@ def build_tree(vertices, edges, labels) -> LabeledTree:
 
 
 def path(tree: LabeledTree, u: str, v: str) -> tuple[str, ...]:
-    """The unique u-v path as a vertex tuple (endpoints included)."""
+    """The unique u-v path as a vertex tuple (endpoints included).
+
+    Climbs parent pointers from both ends to the meeting vertex, so it costs
+    O(path length) after the tree's one O(n) rooting.
+    """
     if u not in tree.labels:
         raise UnknownVertex(u)
     if v not in tree.labels:
         raise UnknownVertex(v)
     if u == v:
         raise SameVertex(u)
-    prev: dict[str, str] = {u: u}
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        if x == v:
-            break
-        for y in tree.adjacency[x]:
-            if y not in prev:
-                prev[y] = x
-                q.append(y)
-    out = [v]
-    while out[-1] != u:
-        out.append(prev[out[-1]])
-    out.reverse()
-    return tuple(out)
+    parent, depth = tree.rooting
+    up, down = [u], [v]
+    while depth[u] > depth[v]:
+        u = parent[u]
+        up.append(u)
+    while depth[v] > depth[u]:
+        v = parent[v]
+        down.append(v)
+    while u != v:
+        u = parent[u]
+        up.append(u)
+        v = parent[v]
+        down.append(v)
+    down.pop()  # the meeting vertex ends ``up`` already
+    down.reverse()
+    return tuple(up + down)
 
 
 def dl_naive(tree: LabeledTree, u: str, v: str) -> Fraction:
@@ -217,7 +246,11 @@ def distance_matrix(tree: LabeledTree) -> UltraSpace:
 
 def restrict(tree: LabeledTree, subset) -> LabeledTree:
     """Induced subtree on ``subset``; raises NotConnectedSubset if the
-    induced subgraph is disconnected."""
+    induced subgraph is disconnected.
+
+    Reads the subset's edges off its members' adjacency lists, so it costs
+    O(sum of their degrees), not O(|E|).
+    """
     sub = set(subset)
     for v in sub:
         if v not in tree.labels:
@@ -226,22 +259,19 @@ def restrict(tree: LabeledTree, subset) -> LabeledTree:
         from .errors import EmptySet
 
         raise EmptySet("vertex subset")
-    sub_edges = [(u, v) for u, v in tree.edges if u in sub and v in sub]
-    adj: dict[str, list[str]] = {v: [] for v in sub}
-    for u, v in sub_edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = tree.adjacency
     start = min(sub)
     seen = {start}
     q = deque([start])
     while q:
         x = q.popleft()
         for y in adj[x]:
-            if y not in seen:
+            if y in sub and y not in seen:
                 seen.add(y)
                 q.append(y)
     if seen != sub:
         raise NotConnectedSubset(min(sub - seen))
+    sub_edges = [(u, v) for u in sub for v in adj[u] if u < v and v in sub]
     return build_tree(sorted(sub), sub_edges, {v: tree.labels[v] for v in sub})
 
 
@@ -251,24 +281,12 @@ def restrict(tree: LabeledTree, subset) -> LabeledTree:
 
 def _centroids(tree: LabeledTree) -> list[str]:
     n = len(tree)
-    if n == 1:
-        return [tree.vertices[0]]
-    root = tree.vertices[0]
-    order: list[str] = []
-    par: dict[str, str | None] = {root: None}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in tree.adjacency[x]:
-            if y != par[x]:
-                par[y] = x
-                stack.append(y)
+    parent, depth = tree.rooting
     size = {v: 1 for v in tree.vertices}
     heaviest = {v: 0 for v in tree.vertices}
-    for x in reversed(order):
-        p = par[x]
-        if p is not None:
+    for x in reversed(depth):  # children before parents
+        p = parent[x]
+        if p != x:
             size[p] += size[x]
             heaviest[p] = max(heaviest[p], size[x])
     best: list[str] = []

@@ -84,7 +84,12 @@ def representable(space: UltraSpace) -> LabeledTree | None:
     """
     if not space.proper:
         return None
-    root = canonical_hierarchy(space)
+    return _witness(space, canonical_hierarchy(space))
+
+
+def _witness(space: UltraSpace, root: Hierarchy) -> LabeledTree | None:
+    """:func:`representable` on a proper space whose dendrogram ``root`` is
+    already built."""
     if root.is_leaf:
         return build_tree([root.point], [], {root.point: Fraction(0)})
     labels: dict[str, Fraction] = {}
@@ -192,10 +197,11 @@ def conjecture_scan(n: int, values: list[Fraction]) -> ScanReport:
     records = []
     for i, space in enumerate(enumerate_spaces(n, values)):
         pred, failing = conjecture_predicate(space)
-        tree = representable(space)
+        root = canonical_hierarchy(space)
+        tree = _witness(space, root) if space.proper else None
         records.append(ScanRecord(
             space_id=f"n{n}-{i:03d}",
-            canonical_hierarchy=canonical_hierarchy(space).encode(),
+            canonical_hierarchy=root.encode(),
             predicate=pred,
             failing_ball=failing,
             representable=tree is not None,

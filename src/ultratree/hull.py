@@ -6,6 +6,13 @@ fixed anchor (smallest element of A) to every other element.  A vertex v
 outside a subtree S reaches S through a unique first vertex, its attachment
 point; the pair (v, attachment) is the comb-tooth picture: the tooth hangs
 off the spine at its root.
+
+Both run on the tree's one cached O(n) rooting: each path costs O(path
+length) by climbing parent pointers, and checking or cutting out a subtree
+costs O(sum of its vertices' degrees).  So ``hull`` costs the lengths of
+its |A| - 1 anchor paths plus the degrees of the hull's vertices, and
+``attachment_point`` the degrees of S plus one path from v; neither makes
+a whole-tree pass per call.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 Binary lifting: after an O(n log n) build, the maximum label on any u-v path
 is answered in O(log n) by jumping both endpoints toward their lowest common
-ancestor in power-of-two strides, folding in per-stride segment maxima.
+ancestor in power-of-two strides, folding in per-stride segment maxima.  The
+build starts from the tree's own cached rooting
+(:attr:`~ultratree.core_tree.LabeledTree.rooting`), shared as ``up[0]`` and
+``depth``, so a tree is traversed once however many layers use it.
 Matches :func:`ultratree.core_tree.dl_naive` exactly.
 """
 
@@ -30,24 +33,11 @@ class PathMaxIndex:
 
 
 def build_index(tree: LabeledTree) -> PathMaxIndex:
-    """Root at the lexicographically smallest vertex and build jump tables."""
-    root = tree.vertices[0]
-    parent: dict[str, str] = {}
-    depth: dict[str, int] = {root: 0}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in tree.adjacency[x]:
-            if y not in depth and y != root:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
-                stack.append(y)
-    up0 = {v: parent.get(v, v) for v in tree.vertices}
-    seg0 = {v: tree.labels[v] for v in tree.vertices}
-    up = [up0]
-    seg = [seg0]
+    """Build jump tables over the tree's cached rooting (at its
+    lexicographically smallest vertex), whose parent map is ``up[0]``."""
+    parent, depth = tree.rooting
+    up = [parent]
+    seg = [{v: tree.labels[v] for v in tree.vertices}]
     max_depth = max(depth.values(), default=0)
     k = 0
     while (1 << (k + 1)) <= max_depth:
@@ -57,7 +47,7 @@ def build_index(tree: LabeledTree) -> PathMaxIndex:
             {v: max(prev_seg[v], prev_seg[prev_up[v]]) for v in tree.vertices}
         )
         k += 1
-    return PathMaxIndex(tree=tree, depth=depth, up=up, seg=seg, root=root)
+    return PathMaxIndex(tree=tree, depth=depth, up=up, seg=seg, root=tree.vertices[0])
 
 
 def query(index: PathMaxIndex, u: str, v: str) -> Fraction:

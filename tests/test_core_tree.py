@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from ultratree.core_tree import (
     restrict,
 )
 
-from conftest import random_tree, random_nondegenerate_tree
+from conftest import random_tree, random_nondegenerate_tree, vertex_names
 
 
 def star5():
@@ -199,3 +200,139 @@ def test_isomorphism_self_with_shuffled_names():
         m = is_isomorphic_labeled(t1, t2)
         assert m is not None
         assert all(t1.labels[v] == t2.labels[m[v]] for v in t1.vertices)
+
+
+# ---------------------------------------------------------------------------
+# path and restrict against whole-tree oracles
+
+
+def bfs_path_oracle(tree, u, v):
+    """The u-v path by a breadth-first search from u over the whole tree."""
+    prev = {u: u}
+    q = deque([u])
+    while q:
+        x = q.popleft()
+        if x == v:
+            break
+        for y in tree.adjacency[x]:
+            if y not in prev:
+                prev[y] = x
+                q.append(y)
+    out = [v]
+    while out[-1] != u:
+        out.append(prev[out[-1]])
+    out.reverse()
+    return tuple(out)
+
+
+def all_edges_restrict_oracle(tree, subset):
+    """Induced subtree by scanning every edge of the tree; raises
+    NotConnectedSubset naming the smallest vertex not reached from the
+    smallest member."""
+    sub = set(subset)
+    sub_edges = [(u, v) for u, v in tree.edges if u in sub and v in sub]
+    adj = {v: [] for v in sub}
+    for u, v in sub_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    start = min(sub)
+    seen = {start}
+    q = deque([start])
+    while q:
+        x = q.popleft()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                q.append(y)
+    if seen != sub:
+        raise errors.NotConnectedSubset(min(sub - seen))
+    return build_tree(sorted(sub), sub_edges, {v: tree.labels[v] for v in sub})
+
+
+def chain_tree(rng, n):
+    """Random tree of long chains: each vertex extends the previous one nine
+    times in ten.  Names are shuffled so the root sits inside a chain."""
+    names = vertex_names(n)
+    rng.shuffle(names)
+    edges = [
+        (names[i - 1] if rng.random() < 0.9 else names[rng.randrange(i)], names[i])
+        for i in range(1, n)
+    ]
+    labels = {v: rng.choice((Fraction(0), Fraction(1, 2), Fraction(3))) for v in names}
+    return build_tree(names, edges, labels)
+
+
+def test_path_matches_bfs_oracle_on_every_pair_of_small_trees():
+    rng = random.Random(2718)
+    pairs = 0
+    for _ in range(60):
+        t = random_tree(rng, rng.randrange(1, 13))
+        for u in t.vertices:
+            assert dl_naive(t, u, u) == 0
+            for v in t.vertices:
+                if u == v:
+                    continue
+                want = bfs_path_oracle(t, u, v)
+                assert path(t, u, v) == want
+                assert dl_naive(t, u, v) == max(t.labels[x] for x in want)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_path_matches_bfs_oracle_on_2000_vertex_chain_tree():
+    rng = random.Random(3141)
+    t = chain_tree(rng, 2000)
+    _, depth = t.rooting
+    assert max(depth.values()) > 100  # the chains are long
+    for _ in range(300):
+        u, v = rng.sample(t.vertices, 2)
+        want = bfs_path_oracle(t, u, v)
+        assert path(t, u, v) == want
+        assert dl_naive(t, u, v) == max(t.labels[x] for x in want)
+
+
+def test_rooting_parents_and_depths():
+    rng = random.Random(1618)
+    for _ in range(40):
+        t = random_tree(rng, rng.randrange(1, 30))
+        parent, depth = t.rooting
+        root = t.vertices[0]
+        assert parent[root] == root and depth[root] == 0
+        assert sorted(parent) == sorted(depth) == list(t.vertices)
+        for v in t.vertices[1:]:
+            assert len(bfs_path_oracle(t, root, v)) == depth[v] + 1
+            assert bfs_path_oracle(t, root, v)[-2] == parent[v]
+        assert t.rooting is t.rooting  # built once per tree
+
+
+def test_restrict_matches_all_edges_scan_on_random_subsets():
+    rng = random.Random(5772)
+    connected = disconnected = 0
+    for _ in range(300):
+        t = random_tree(rng, rng.randrange(1, 16))
+        if rng.random() < 0.5:
+            sub = set(rng.sample(t.vertices, rng.randrange(1, len(t) + 1)))
+        else:
+            # grow a connected subset from a random vertex
+            sub = {rng.choice(t.vertices)}
+            for _ in range(rng.randrange(len(t))):
+                frontier = sorted(
+                    {y for x in sub for y in t.adjacency[x]} - sub
+                )
+                if not frontier:
+                    break
+                sub.add(rng.choice(frontier))
+        try:
+            want = all_edges_restrict_oracle(t, sub)
+        except errors.NotConnectedSubset as exc:
+            with pytest.raises(errors.NotConnectedSubset) as got:
+                restrict(t, sub)
+            assert got.value.vertex == exc.vertex
+            disconnected += 1
+            continue
+        got = restrict(t, sub)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        assert got.labels == want.labels
+        connected += 1
+    assert connected > 100 and disconnected > 50

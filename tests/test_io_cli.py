@@ -8,6 +8,8 @@ re-readable by the CLI.
 from __future__ import annotations
 
 import json
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -657,3 +659,63 @@ def test_cli_env_cap_override(workdir, capsys, monkeypatch):
     )
     assert code == 0
     assert len(json.loads(out)["vertices"]) == 40
+
+
+def test_cli_export_dot_set_on_20000_vertex_tree_within_budget(tmp_path, monkeypatch, capsys):
+    """One attachment point per vertex outside the hull of three vertices."""
+    budget = 10.0
+    rng = random.Random(20000)
+    n = 20000
+    names = [f"v{i:05d}" for i in range(n)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    tree = build_tree(names, edges, {v: rng.choice((0, 1, 2)) for v in names})
+    monkeypatch.chdir(tmp_path)
+    with open("big.json", "w", encoding="utf-8") as fh:
+        json.dump(tree_to_json(tree), fh)
+    members = rng.sample(names, 3)
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, [
+        "export-dot", "--tree", "big.json", "--set", ",".join(members),
+        "--out", "big.dot",
+    ])
+    elapsed = time.monotonic() - t0
+    # the hull is the union of paths between members; the attachment roots
+    # are its vertices with a neighbour outside it
+    adj = {v: [] for v in names}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    prev = {members[0]: None}
+    queue = [members[0]]
+    for x in queue:
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    inside = set()
+    for a in members[1:]:
+        x = a
+        while x is not None:
+            inside.add(x)
+            x = prev[x]
+    roots = sorted(h for h in inside if any(y not in inside for y in adj[h]))
+    with open("big.dot", encoding="utf-8") as fh:
+        dot = fh.read().splitlines()
+    got = sorted(line.split('"')[1] for line in dot if "doublecircle" in line)
+    filled = sorted(line.split('"')[1] for line in dot if "style=filled" in line)
+    ok = (
+        (code, out, err) == (0, "", "")
+        and got == roots
+        and filled == sorted(members)
+        and elapsed < budget
+    )
+    with capsys.disabled():
+        print(
+            f"export-dot --set n=20000: {'PASS' if ok else 'FAIL'} — "
+            f"{n - len(inside)} attachment points, {len(roots)} roots; "
+            f"{elapsed:.2f}s of {budget}s",
+            flush=True,
+        )
+    assert (code, out, err) == (0, "", "")
+    assert got == roots and filled == sorted(members)
+    assert elapsed < budget, f"took {elapsed:.2f}s, budget {budget}s"
