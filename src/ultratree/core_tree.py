@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 
 from .errors import (
     DuplicateVertex,
@@ -32,13 +31,10 @@ from .errors import (
     NotConnectedSubset,
     SameVertex,
     SelfLoop,
-    SizeCapExceeded,
     UnknownVertex,
 )
 from .ratio import parse_rational
 from .spaces import UltraSpace
-
-BRUTE_FORCE_ISO_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -259,6 +255,16 @@ def restrict(tree: LabeledTree, subset) -> LabeledTree:
         from .errors import EmptySet
 
         raise EmptySet("vertex subset")
+    _check_connected(tree, sub)
+    adj = tree.adjacency
+    sub_edges = [(u, v) for u in sub for v in adj[u] if u < v and v in sub]
+    return build_tree(sorted(sub), sub_edges, {v: tree.labels[v] for v in sub})
+
+
+def _check_connected(tree: LabeledTree, sub: set[str]) -> None:
+    """Raise NotConnectedSubset, naming the smallest member not reached from
+    the smallest one, unless the nonempty vertex set ``sub`` induces a
+    connected subgraph.  Costs O(sum of the members' degrees)."""
     adj = tree.adjacency
     start = min(sub)
     seen = {start}
@@ -271,8 +277,6 @@ def restrict(tree: LabeledTree, subset) -> LabeledTree:
                 q.append(y)
     if seen != sub:
         raise NotConnectedSubset(min(sub - seen))
-    sub_edges = [(u, v) for u in sub for v in adj[u] if u < v and v in sub]
-    return build_tree(sorted(sub), sub_edges, {v: tree.labels[v] for v in sub})
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +363,4 @@ def is_isomorphic_labeled(t1: LabeledTree, t2: LabeledTree) -> dict[str, str] | 
             enc2 = _encode(t2, r2)
             if enc1[r1] == enc2[r2]:
                 return _align(t1, r1, t2, r2, enc1, enc2)
-    return None
-
-
-def is_isomorphic_brute(t1: LabeledTree, t2: LabeledTree, cap: int = BRUTE_FORCE_ISO_CAP):
-    """Exhaustive bijection search; oracle for small trees only."""
-    if len(t1) > cap or len(t2) > cap:
-        raise SizeCapExceeded(max(len(t1), len(t2)), cap, "brute-force isomorphism")
-    if len(t1) != len(t2):
-        return None
-    e1 = {frozenset(e) for e in t1.edges}
-    for perm in permutations(t2.vertices):
-        m = dict(zip(t1.vertices, perm))
-        if any(t1.labels[v] != t2.labels[m[v]] for v in t1.vertices):
-            continue
-        if {frozenset((m[u], m[v])) for u, v in e1} == {
-            frozenset(e) for e in t2.edges
-        }:
-            return m
     return None

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core_tree import LabeledTree, path, restrict
+from .core_tree import LabeledTree, _check_connected, path, restrict
 from .errors import (
     EmptySet,
     NotConnectedSubset,
-    SizeCapExceeded,
     UnknownVertex,
     VertexInS,
 )
-
-HULL_ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -75,35 +72,10 @@ def attachment_point(tree: LabeledTree, subset, v: str) -> CombReport:
             raise UnknownVertex(w)
     if v in sset:
         raise VertexInS(v)
-    restrict(tree, s)  # raises NotConnectedSubset if S is not a subtree
+    _check_connected(tree, sset)
     walk = path(tree, v, s[0])
     for i, x in enumerate(walk):
         if x in sset:
             spine = walk[: i + 1]
             return CombReport(tooth=v, root=x, path=tuple(reversed(spine)))
     raise NotConnectedSubset(s[0])  # unreachable on a valid tree
-
-
-def hull_minimality_check(tree: LabeledTree, subset, cap: int = HULL_ORACLE_CAP) -> bool:
-    """Exhaustive oracle: the hull equals the intersection of all subtrees
-    containing the generating set.  Only for small trees."""
-    n = len(tree)
-    if n > cap:
-        raise SizeCapExceeded(n, cap, "hull oracle")
-    a = sorted(set(subset))
-    if not a:
-        raise EmptySet("generating set")
-    aset = set(a)
-    verts = tree.vertices
-    common: set[str] | None = None
-    for mask in range(1, 1 << n):
-        chosen = {verts[i] for i in range(n) if mask >> i & 1}
-        if not aset <= chosen:
-            continue
-        try:
-            restrict(tree, chosen)
-        except NotConnectedSubset:
-            continue
-        common = chosen if common is None else (common & chosen)
-    h = hull(tree, a)
-    return common == set(h.subtree.vertices)

@@ -649,138 +649,121 @@ def truncate(
     GlueFamily: members m <= budget whose site is materialized, each truncated
     with the same budget.  Shared vertices are force-included (with the prefix
     needed to stay connected) and validated: shared labels must match and the
-    envelope must dominate each materialized member.  Returns the tree plus a
-    map from canonical symbolic addresses to emitted vertex ids (vertex ids
-    are the address strings themselves).
+    envelope must dominate each materialized member.  Glue sites and shared
+    addresses are resolved to their canonical addresses first, so a document
+    may name a merged vertex through any of its copies.  One top-down walk
+    writes every vertex once, under its final address; a part's copy of a
+    glued vertex is kept only until its label is checked.  Returns the tree
+    plus a map from canonical symbolic addresses to emitted vertex ids
+    (vertex ids are the address strings themselves).
     """
     if budget < 1:
         raise InvalidDeclaration(f"budget must be >= 1, got {budget}")
-    verts, edges = _materialize(node, budget, set())
+    verts, edges = {}, []
+    _walk(node, budget, (), None, set(), (verts, edges, {}))
     if len(verts) > size_cap:
         raise SizeCapExceeded(len(verts), size_cap, "truncation")
-    ids = {addr: format_address(addr) for addr in verts}
+    ids = {addr: format_address(addr) for addr in sorted(verts)}
     tree = build_tree(
-        sorted(ids.values()),
-        [(ids[a], ids[b]) for a, b in sorted(edges)],
+        ids.values(),
+        [(ids[a], ids[b]) for a, b in edges],
         {ids[a]: lab for a, lab in verts.items()},
     )
-    addr_map = {ids[a]: ids[a] for a in sorted(verts)}
-    return tree, addr_map
+    return tree, {i: i for i in ids.values()}
 
 
-def _materialize(
-    node: SymbolicTree, budget: int, forced: set[Address]
-) -> tuple[dict[Address, Fraction], set[tuple[Address, Address]]]:
-    if isinstance(node, Finite):
-        verts = {(("vertex", v),): node.tree.labels[v] for v in node.tree.vertices}
-        edges = {((("vertex", u),), (("vertex", v),)) for u, v in node.tree.edges}
-        return verts, edges
-    if isinstance(node, Ray):
-        top = budget
-        for addr in forced:
-            if addr and addr[0][0] == "ray":
-                top = max(top, addr[0][1])
-        verts = {(("ray", n),): node.labels.term(n) for n in range(1, top + 1)}
-        edges = {
-            ((("ray", n),), (("ray", n + 1),)) for n in range(1, top)
-        }
-        return verts, edges
-    if isinstance(node, Star):
-        leaf_idx = set(range(1, budget + 1))
-        for addr in forced:
-            if addr and addr[0][0] == "leaf":
-                leaf_idx.add(addr[0][1])
-        center = _concrete(node.center_label, "center label")
-        verts: dict[Address, Fraction] = {(("center",),): center}
-        edges: set[tuple[Address, Address]] = set()
-        for k in sorted(leaf_idx):
-            verts[(("leaf", k),)] = node.leaf_labels.term(k)
-            edges.add(((("center",),), (("leaf", k),)))
-        return verts, edges
-    if isinstance(node, GlueFinite):
-        base_forced = {a[1:] for a in forced if a and a[0] == ("base",)}
-        part_forced: dict[int, set[Address]] = {}
-        for a in forced:
-            if a and a[0][0] == "attach":
-                part_forced.setdefault(a[0][1], set()).add(a[1:])
-        for att in node.attachments:
-            base_forced.add(att.site)
-        bverts, bedges = _materialize(node.base, budget, base_forced)
-        verts = {(("base",),) + a: lab for a, lab in bverts.items()}
-        edges = {
-            ((("base",),) + a, (("base",),) + b) for a, b in bedges
-        }
-        for i, att in enumerate(node.attachments):
-            pf = part_forced.get(i, set()) | {att.shared}
-            pverts, pedges = _materialize(att.part, budget, pf)
-            if att.shared not in pverts:
-                raise UnknownVertex(format_address(att.shared))
-            canon = (("base",),) + att.site
+# a module-level recursion: a closure that calls itself would keep each
+# truncation alive in a reference cycle until a full collection
+def _walk(node, budget, prefix, scale, forced, out) -> None:
+    """Write the truncation of ``node`` into ``out`` = (labels by final
+    address, edges, final address of each merged copy).
 
-            def rename(a, canon=canon, shared=att.shared, i=i):
-                return canon if a == shared else (("attach", i),) + a
-
-            share_lab = pverts[att.shared]
-            if verts[canon] != share_lab:
-                raise GlueLabelMismatch(
-                    format_address(canon), verts[canon], share_lab
-                )
-            for a, lab in pverts.items():
-                if a != att.shared:
-                    verts[rename(a)] = lab
-            for a, b in pedges:
-                edges.add((rename(a), rename(b)))
-        return verts, edges
-    if isinstance(node, GlueFamily):
-        base_forced = {a[1:] for a in forced if a and a[0] == ("base",)}
-        member_forced: dict[int, set[Address]] = {}
-        for a in forced:
-            if a and a[0][0] == "member":
-                member_forced.setdefault(a[0][1], set()).add(a[1:])
-        members = set(member_forced)
-        for m in range(1, budget + 1):
-            members.add(m)
-        for m in sorted(member_forced):
-            base_forced.add((site_base_step(node, m),))
-        bverts, bedges = _materialize(node.base, budget, base_forced)
-        verts = {(("base",),) + a: lab for a, lab in bverts.items()}
-        edges = {((("base",),) + a, (("base",),) + b) for a, b in bedges}
-        for m in sorted(members):
-            site_addr = (site_base_step(node, m),)
-            canon = (("base",),) + site_addr
-            if m not in member_forced and canon not in verts:
-                continue
-            member = instantiate(node, m)
-            if sup_labels(member) > node.envelope.term(m):
-                raise InvalidDeclaration(
-                    f"envelope does not dominate member {m}"
-                )
-            mf = member_forced.get(m, set()) | {node.shared}
-            pverts, pedges = _materialize(member, budget, mf)
-            if node.shared not in pverts:
-                raise UnknownVertex(format_address(node.shared))
-            share_lab = pverts[node.shared]
-            if verts.get(canon, share_lab) != share_lab:
-                raise GlueLabelMismatch(
-                    f"member:{m} at {format_address(canon)}",
-                    verts[canon],
-                    share_lab,
-                )
-
-            def rename(a, canon=canon, shared=node.shared, m=m):
-                return canon if a == shared else (("member", m),) + a
-
-            for a, lab in pverts.items():
-                if a != node.shared:
-                    verts[rename(a)] = lab
-            for a, b in pedges:
-                edges.add((rename(a), rename(b)))
-        return verts, edges
-    if isinstance(node, ScaledLabels):
+    ``prefix`` is the node's address, ``scale`` the product of the scale
+    factors above it (None below no ``scaled`` node) and ``forced`` the
+    node-local addresses the truncation must include.  A gluing walks its
+    base, then each part.  The part's copy of a glued vertex stays in the
+    labels under its own address until the gluing compares its label with
+    the base copy's and drops it; its edges take the base copy's final
+    address.
+    """
+    verts, edges, merged = out
+    while isinstance(node, ScaledLabels):
         factor = _concrete(node.factor, "scale factor")
-        verts, edges = _materialize(node.inner, budget, forced)
-        return {a: factor * lab for a, lab in verts.items()}, edges
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+        scale = factor if scale is None else scale * factor
+        node = node.inner
+    if isinstance(node, PIECES):
+        local, labels, links = _piece(node, budget, forced)
+        if scale is not None:
+            labels = [scale * lab for lab in labels]
+        names = [prefix + (step,) for step in local]
+        verts.update(zip(names, labels))
+        for addr in forced:
+            own = prefix + addr
+            if own in merged:
+                names[local.index(addr[0])] = merged[own]
+        edges.extend((names[i], names[j]) for i, j in links)
+        return
+    by_step: dict[tuple, set[Address]] = {}
+    for addr in forced:
+        by_step.setdefault(addr[0], set()).add(addr[1:])
+    base_forced = by_step.pop(BASE, set())
+    # every attachment is glued; a family glues the members m <= budget
+    # whose site the base reaches, and the members forced addresses name
+    if isinstance(node, GlueFinite):
+        steps = pinned = [("attach", i) for i in range(len(node.attachments))]
+    else:
+        pinned = list(by_step)
+        steps = sorted({("member", m) for m in range(1, budget + 1)}.union(pinned))
+    sites = {s: _glue_point(node, s)[1] for s in steps}
+    for s in pinned:  # the other sites lie on a ray or star: canonical
+        sites[s] = canonical(node.base, sites[s])
+        base_forced.add(sites[s])
+    _walk(node.base, budget, prefix + (BASE,), scale, base_forced, out)
+    for step in steps:
+        here = prefix + (BASE,) + sites[step]
+        base_val = verts.get(here)
+        if base_val is None:
+            continue
+        part = _child(node, step, instantiate)
+        if step[0] == "member" and sup_labels(part) > node.envelope.term(step[1]):
+            raise InvalidDeclaration(f"envelope does not dominate member {step[1]}")
+        shared = canonical(part, _glue_point(node, step)[0])
+        own = prefix + (step,) + shared
+        merged[own] = merged.get(here, here)
+        _walk(part, budget, prefix + (step,), scale, by_step.get(step, set()) | {shared}, out)
+        part_val = verts.pop(own)
+        if part_val != base_val:
+            where = format_address((BASE,) + sites[step])
+            if step[0] == "member":
+                where = f"member:{step[1]} at {where}"
+            if scale is not None:  # report the values at this gluing's scale
+                base_val, part_val = base_val / scale, part_val / scale
+            raise GlueLabelMismatch(where, base_val, part_val)
+
+
+def _piece(piece, budget: int, forced) -> tuple[list[tuple], list, list[tuple[int, int]]]:
+    """(local address steps, labels, edges as index pairs) of a Finite, Ray
+    or Star cut at ``budget`` and extended to the indices ``forced`` names."""
+    if isinstance(piece, Finite):
+        vs = piece.tree.vertices
+        at = {v: i for i, v in enumerate(vs)}
+        return (
+            [("vertex", v) for v in vs],
+            [piece.tree.labels[v] for v in vs],
+            [(at[u], at[v]) for u, v in piece.tree.edges],
+        )
+    extra = [addr[0][1] for addr in forced if addr[0] != CENTER]
+    if isinstance(piece, Ray):
+        idx = range(1, max([budget, *extra]) + 1)
+        links = [(i - 1, i) for i in range(1, len(idx))]
+        return [("ray", n) for n in idx], [piece.labels.term(n) for n in idx], links
+    center = _concrete(piece.center_label, "center label")
+    idx = sorted(set(range(1, budget + 1)).union(extra))
+    return (
+        [CENTER] + [("leaf", k) for k in idx],
+        [center] + [piece.leaf_labels.term(k) for k in idx],
+        [(0, i) for i in range(1, len(idx) + 1)],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,14 +12,34 @@ from ultratree.core_tree import (
     build_tree,
     distance_matrix,
     dl_naive,
-    is_isomorphic_brute,
     is_isomorphic_labeled,
     is_non_degenerate,
     path,
     restrict,
 )
+from ultratree.hull import attachment_point
 
 from conftest import random_tree, random_nondegenerate_tree, vertex_names
+
+BRUTE_FORCE_ISO_CAP = 8
+
+
+def is_isomorphic_brute(t1, t2, cap: int = BRUTE_FORCE_ISO_CAP):
+    """Exhaustive bijection search; oracle for small trees only."""
+    if len(t1) > cap or len(t2) > cap:
+        raise errors.SizeCapExceeded(max(len(t1), len(t2)), cap, "brute-force isomorphism")
+    if len(t1) != len(t2):
+        return None
+    e1 = {frozenset(e) for e in t1.edges}
+    for perm in permutations(t2.vertices):
+        m = dict(zip(t1.vertices, perm))
+        if any(t1.labels[v] != t2.labels[m[v]] for v in t1.vertices):
+            continue
+        if {frozenset((m[u], m[v])) for u, v in e1} == {
+            frozenset(e) for e in t2.edges
+        }:
+            return m
+    return None
 
 
 def star5():
@@ -322,11 +343,15 @@ def test_restrict_matches_all_edges_scan_on_random_subsets():
                 if not frontier:
                     break
                 sub.add(rng.choice(frontier))
+        outside = sorted(set(t.vertices) - sub)
         try:
             want = all_edges_restrict_oracle(t, sub)
         except errors.NotConnectedSubset as exc:
             with pytest.raises(errors.NotConnectedSubset) as got:
                 restrict(t, sub)
+            assert got.value.vertex == exc.vertex
+            with pytest.raises(errors.NotConnectedSubset) as got:
+                attachment_point(t, sub, outside[0])
             assert got.value.vertex == exc.vertex
             disconnected += 1
             continue
@@ -334,5 +359,9 @@ def test_restrict_matches_all_edges_scan_on_random_subsets():
         assert got.vertices == want.vertices
         assert got.edges == want.edges
         assert got.labels == want.labels
+        if outside:
+            walk = bfs_path_oracle(t, outside[0], min(sub))
+            root = next(x for x in walk if x in sub)
+            assert attachment_point(t, sub, outside[0]).root == root
         connected += 1
     assert connected > 100 and disconnected > 50

@@ -5,10 +5,37 @@ import random
 import pytest
 
 from ultratree import errors
-from ultratree.core_tree import build_tree, path
-from ultratree.hull import attachment_point, hull, hull_minimality_check
+from ultratree.core_tree import build_tree, path, restrict
+from ultratree.hull import attachment_point, hull
 
 from conftest import random_tree
+
+HULL_ORACLE_CAP = 12
+
+
+def hull_minimality_check(tree, subset, cap: int = HULL_ORACLE_CAP) -> bool:
+    """Exhaustive oracle: the hull equals the intersection of all subtrees
+    containing the generating set.  Only for small trees."""
+    n = len(tree)
+    if n > cap:
+        raise errors.SizeCapExceeded(n, cap, "hull oracle")
+    a = sorted(set(subset))
+    if not a:
+        raise errors.EmptySet("generating set")
+    aset = set(a)
+    verts = tree.vertices
+    common: set[str] | None = None
+    for mask in range(1, 1 << n):
+        chosen = {verts[i] for i in range(n) if mask >> i & 1}
+        if not aset <= chosen:
+            continue
+        try:
+            restrict(tree, chosen)
+        except errors.NotConnectedSubset:
+            continue
+        common = chosen if common is None else (common & chosen)
+    h = hull(tree, a)
+    return common == set(h.subtree.vertices)
 
 
 def comb():

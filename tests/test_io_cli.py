@@ -374,6 +374,26 @@ def test_cli_truncate_payload(workdir, capsys):
     tree_from_json({"vertices": payload["vertices"], "edges": payload["edges"]})
 
 
+def test_cli_truncate_glue_site_named_through_a_part(workdir, capsys):
+    # attach:0/vertex:c is the part's copy of the merged vertex base/vertex:b
+    def edge(u, v):
+        return {"kind": "finite", "tree": {"vertices": {u: "1/2", v: "1/4"}, "edges": [[u, v]]}}
+
+    inner = {"kind": "glue_finite", "base": edge("b", "x"),
+             "attachments": [{"site": "vertex:b", "part": edge("c", "y"), "shared": "vertex:c"}]}
+    star = {"kind": "star", "center": "1/2", "leaves": {"kind": "harmonic", "a": "1/4"}}
+    outs = []
+    for site in ("attach:0/vertex:c", "base/vertex:b"):
+        with open("glued.json", "w", encoding="utf-8") as fh:
+            json.dump({"kind": "glue_finite", "base": inner,
+                       "attachments": [{"site": site, "part": star, "shared": "center"}]}, fh)
+        code, out, err = run_cli(capsys, ["truncate", "--symbolic", "glued.json", "--budget", "2"])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["vertices"]["base/base/vertex:b"] == "1/2"
+
+
 def test_cli_conjecture_predicate_and_representable(workdir, capsys):
     code, out, _ = run_cli(
         capsys, ["conjecture-predicate", "--space", "four_point.json"]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from ultratree.errors import (
     InvalidDeclaration,
     PreconditionFailed,
     SizeCapExceeded,
+    UltraTreeError,
     UnknownVertex,
 )
 from ultratree.seqs import INFINITE, Const, Custom, Geometric, Harmonic, Modulated, PrimeRecip, Ref
@@ -29,6 +32,7 @@ from ultratree.symbolic import (
     Ray,
     ScaledLabels,
     Star,
+    _concrete,
     count_vertices_geq,
     exceedance_bound,
     format_address,
@@ -36,10 +40,13 @@ from ultratree.symbolic import (
     label_at,
     member_window,
     parse_address,
+    site_base_step,
+    sup_labels,
     truncate,
     validate_symbolic,
 )
 from ultratree.core_tree import build_tree
+from ultratree.treeio import symbolic_from_json, symbolic_to_json
 from ultratree.witness import compact_labeling_witness, discrete_tb_labeling_witness
 
 F = Fraction
@@ -215,6 +222,213 @@ def test_truncation_connected_and_validated():
     # reject a disconnected or mislabeled result
     tree, _ = truncate(fig10(), 7)
     assert len(tree.edges) == len(tree.vertices) - 1
+
+
+def materialize_oracle(node, budget, forced):
+    """Bottom-up materialization: each constructor returns its vertices and
+    edges under local addresses, and every enclosing gluing and scale
+    rebuilds them with its prefix or factor."""
+    if isinstance(node, Finite):
+        verts = {(("vertex", v),): node.tree.labels[v] for v in node.tree.vertices}
+        edges = {((("vertex", u),), (("vertex", v),)) for u, v in node.tree.edges}
+        return verts, edges
+    if isinstance(node, Ray):
+        top = budget
+        for addr in forced:
+            if addr and addr[0][0] == "ray":
+                top = max(top, addr[0][1])
+        verts = {(("ray", n),): node.labels.term(n) for n in range(1, top + 1)}
+        edges = {
+            ((("ray", n),), (("ray", n + 1),)) for n in range(1, top)
+        }
+        return verts, edges
+    if isinstance(node, Star):
+        leaf_idx = set(range(1, budget + 1))
+        for addr in forced:
+            if addr and addr[0][0] == "leaf":
+                leaf_idx.add(addr[0][1])
+        center = _concrete(node.center_label, "center label")
+        verts = {(("center",),): center}
+        edges = set()
+        for k in sorted(leaf_idx):
+            verts[(("leaf", k),)] = node.leaf_labels.term(k)
+            edges.add(((("center",),), (("leaf", k),)))
+        return verts, edges
+    if isinstance(node, GlueFinite):
+        base_forced = {a[1:] for a in forced if a and a[0] == ("base",)}
+        part_forced = {}
+        for a in forced:
+            if a and a[0][0] == "attach":
+                part_forced.setdefault(a[0][1], set()).add(a[1:])
+        for att in node.attachments:
+            base_forced.add(att.site)
+        bverts, bedges = materialize_oracle(node.base, budget, base_forced)
+        verts = {(("base",),) + a: lab for a, lab in bverts.items()}
+        edges = {
+            ((("base",),) + a, (("base",),) + b) for a, b in bedges
+        }
+        for i, att in enumerate(node.attachments):
+            pf = part_forced.get(i, set()) | {att.shared}
+            pverts, pedges = materialize_oracle(att.part, budget, pf)
+            if att.shared not in pverts:
+                raise UnknownVertex(format_address(att.shared))
+            canon = (("base",),) + att.site
+
+            def rename(a, canon=canon, shared=att.shared, i=i):
+                return canon if a == shared else (("attach", i),) + a
+
+            share_lab = pverts[att.shared]
+            if verts[canon] != share_lab:
+                raise GlueLabelMismatch(
+                    format_address(canon), verts[canon], share_lab
+                )
+            for a, lab in pverts.items():
+                if a != att.shared:
+                    verts[rename(a)] = lab
+            for a, b in pedges:
+                edges.add((rename(a), rename(b)))
+        return verts, edges
+    if isinstance(node, GlueFamily):
+        base_forced = {a[1:] for a in forced if a and a[0] == ("base",)}
+        member_forced = {}
+        for a in forced:
+            if a and a[0][0] == "member":
+                member_forced.setdefault(a[0][1], set()).add(a[1:])
+        members = set(member_forced)
+        for m in range(1, budget + 1):
+            members.add(m)
+        for m in sorted(member_forced):
+            base_forced.add((site_base_step(node, m),))
+        bverts, bedges = materialize_oracle(node.base, budget, base_forced)
+        verts = {(("base",),) + a: lab for a, lab in bverts.items()}
+        edges = {((("base",),) + a, (("base",),) + b) for a, b in bedges}
+        for m in sorted(members):
+            site_addr = (site_base_step(node, m),)
+            canon = (("base",),) + site_addr
+            if m not in member_forced and canon not in verts:
+                continue
+            member = instantiate(node, m)
+            if sup_labels(member) > node.envelope.term(m):
+                raise InvalidDeclaration(
+                    f"envelope does not dominate member {m}"
+                )
+            mf = member_forced.get(m, set()) | {node.shared}
+            pverts, pedges = materialize_oracle(member, budget, mf)
+            if node.shared not in pverts:
+                raise UnknownVertex(format_address(node.shared))
+            share_lab = pverts[node.shared]
+            if verts.get(canon, share_lab) != share_lab:
+                raise GlueLabelMismatch(
+                    f"member:{m} at {format_address(canon)}",
+                    verts[canon],
+                    share_lab,
+                )
+
+            def rename(a, canon=canon, shared=node.shared, m=m):
+                return canon if a == shared else (("member", m),) + a
+
+            for a, lab in pverts.items():
+                if a != node.shared:
+                    verts[rename(a)] = lab
+            for a, b in pedges:
+                edges.add((rename(a), rename(b)))
+        return verts, edges
+    if isinstance(node, ScaledLabels):
+        factor = _concrete(node.factor, "scale factor")
+        verts, edges = materialize_oracle(node.inner, budget, forced)
+        return {a: factor * lab for a, lab in verts.items()}, edges
+    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+
+
+def truncate_oracle(node, budget):
+    """``truncate`` assembled from ``materialize_oracle``."""
+    verts, edges = materialize_oracle(node, budget, set())
+    ids = {addr: format_address(addr) for addr in verts}
+    tree = build_tree(
+        sorted(ids.values()),
+        [(ids[a], ids[b]) for a, b in sorted(edges)],
+        {ids[a]: lab for a, lab in verts.items()},
+    )
+    return tree, {ids[a]: ids[a] for a in sorted(verts)}
+
+
+def _ordered(truncation):
+    tree, addr_map = truncation
+    return tree, list(addr_map.items())
+
+
+def _truncation_or_error(truncation, node, budget):
+    try:
+        return _ordered(truncation(node, budget))
+    except UltraTreeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _glue(base, site, part, shared):
+    return GlueFinite(base, (Attachment(parse_address(site), part, parse_address(shared)),))
+
+
+def _edge(u, lu, v, lv):
+    return Finite(build_tree([u, v], [(u, v)], {u: lu, v: lv}))
+
+
+GOLDEN_DOCS = [
+    e["doc"]
+    for e in json.loads(
+        (Path(__file__).with_name("data") / "symbolic_golden.json").read_text(encoding="utf-8")
+    )
+]
+# documents truncate refuses: built without validation
+REFUSED = [
+    ScaledLabels(_glue(_edge("a", F(1), "b", F(0)), "vertex:a",
+                       _edge("a", F(2), "c", F(1, 2)), "vertex:a"), F(3)),
+    ScaledLabels(GlueFamily(base=Ray(Const(1)), sites="all", template=Star(F(1, 2), Harmonic(1)),
+                            shared=(("center",),), envelope=Const(1)), F(1, 2)),
+    GlueFamily(base=Ray(Const(1)), sites="all", template=Star(Ref("site_label"), Const(1)),
+               shared=(("center",),), envelope=Harmonic(1)),
+    ScaledLabels(Star(F(0), Harmonic(1)), Ref("envelope")),
+]
+
+
+def test_truncate_matches_materialize_oracle():
+    nodes = [symbolic_from_json(doc, validate=False) for doc in GOLDEN_DOCS] + REFUSED
+    refused = 0
+    for node in nodes:
+        for budget in range(1, 9):
+            want = _truncation_or_error(truncate_oracle, node, budget)
+            got = _truncation_or_error(truncate, node, budget)
+            assert got == want, (symbolic_to_json(node), budget)
+            refused += isinstance(want[0], str)
+    assert refused > 30
+
+
+# vertex:c of the part is merged into base/vertex:b
+_INNER = _glue(_edge("b", F(1, 2), "x", F(0)), "vertex:b", _edge("c", F(1, 2), "y", F(1, 4)), "vertex:c")
+
+
+@pytest.mark.parametrize("base, site, canonical_site, part", [
+    (_INNER, "attach:0/vertex:c", "base/vertex:b", Star(F(1, 2), Harmonic(F(1, 4)))),
+    (GlueFamily(base=Ray(Modulated(2, (Harmonic(1), Const(0)))), sites="even",
+                template=_edge("a", F(0), "z", F(1)), shared=(("vertex", "a"),),
+                envelope=Const(1)),
+     "member:2/vertex:a", "base/ray:4", Star(F(0), Harmonic(1))),
+])
+def test_truncate_glues_at_a_site_named_by_a_non_canonical_copy(base, site, canonical_site, part):
+    doc = _glue(base, site, part, "center")
+    validate_symbolic(doc)
+    for budget in (1, 2, 3):
+        assert _ordered(truncate(doc, budget)) == _ordered(
+            truncate(_glue(base, canonical_site, part, "center"), budget)
+        )
+
+
+def test_truncate_glues_a_shared_vertex_named_by_a_non_canonical_copy():
+    doc = _glue(Ray(Const(F(1, 2))), "ray:2", _INNER, "attach:0/vertex:c")
+    validate_symbolic(doc)
+    for budget in (1, 2, 3):
+        assert _ordered(truncate(doc, budget)) == _ordered(
+            truncate(_glue(Ray(Const(F(1, 2))), "ray:2", _INNER, "base/vertex:b"), budget)
+        )
 
 
 # ---------------------------------------------------------------------------
