@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 domain error (named error on stderr), 2 usage error.
 All rationals print as integer or "p/q" strings; never floats.  Machine
 output via --json; DOT via export-dot; ULTRATREE_SIZE_CAP raises or lowers
-the truncation cap (1..1,000,000 vertices).  ``scan`` enumerates at most 6
-points and 4 distance values.
+the truncation cap (1..1,000,000 vertices).  ``scan`` enumerates at most
+``finite_space.ENUMERATE_CLASS_CAP`` isometry classes, counted before any
+is generated.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ Symbolic tree: {"kind": "glue_family", "base": ..., "sites": "even",
 
 Sequences and constructors are encoded field by field from their
 dataclasses; a missing or malformed field raises InvalidDeclaration naming
-the kind and the field.
+the kind and the field.  A symbolic document may nest JSON objects and
+arrays at most ``SYMBOLIC_DEPTH_CAP`` deep (300 nested ``scaled`` nodes
+over a ray are 302 deep); the decoder and the symbolic walkers recurse once
+or more per level.
 
 All rationals are rendered as "p/q" or integer strings; no floats.
 """
@@ -205,7 +208,34 @@ def symbolic_to_json(node: SymbolicTree) -> dict:
     return _kind_to_json(NODE_KINDS, node, "constructor")
 
 
+# The decoder spends up to three Python frames per level, against the
+# default recursion limit of 1,000: 305 levels hold 300 nested ``scaled``
+# nodes and leave room for the caller's frames.
+SYMBOLIC_DEPTH_CAP = 305
+
+
+def _json_depth(obj) -> int:
+    """Nesting depth of JSON objects and arrays (a scalar is 0), found
+    without recursion."""
+    depth, stack = 0, [(obj, 1)]
+    while stack:
+        item, level = stack.pop()
+        if isinstance(item, dict):
+            item = item.values()
+        elif not isinstance(item, list):
+            continue
+        depth = max(depth, level)
+        stack.extend((x, level + 1) for x in item)
+    return depth
+
+
 def symbolic_from_json(obj: dict, validate: bool = True) -> SymbolicTree:
+    depth = _json_depth(obj)
+    if depth > SYMBOLIC_DEPTH_CAP:
+        raise InvalidDeclaration(
+            f"symbolic JSON nests {depth} levels deep, "
+            f"beyond the limit of {SYMBOLIC_DEPTH_CAP}"
+        )
     node = _symbolic_from_json(obj)
     if validate:
         validate_symbolic(node)

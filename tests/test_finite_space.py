@@ -4,19 +4,25 @@
 ``prufer_representable`` below is the exhaustive search it replaced: every
 labeled tree on the point set (Prüfer decoding) with labels assigned edge by
 edge.  It is kept here as the oracle for small spaces.
+
+``conjecture_predicate`` reads each ball off one sorted row per point.
+``literal_predicate_oracle`` below is the search it replaced: every ball ×
+center × radius, compared set by set with spheres.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_nondegenerate_tree
+from conftest import random_nondegenerate_tree, random_tree
 from ultratree.builders import four_point_space, star_vs_path
+from ultratree.cli import main
 from ultratree.core_tree import (
     LabeledTree,
     build_tree,
@@ -25,6 +31,7 @@ from ultratree.core_tree import (
 )
 from ultratree.errors import InvalidDeclaration, SizeCapExceeded
 from ultratree.finite_space import (
+    ENUMERATE_CLASS_CAP,
     conjecture_predicate,
     conjecture_scan,
     enumerate_spaces,
@@ -32,6 +39,7 @@ from ultratree.finite_space import (
 )
 from ultratree.ratio import format_rational
 from ultratree.spaces import (
+    Ball,
     Hierarchy,
     UltraSpace,
     balls,
@@ -41,6 +49,7 @@ from ultratree.spaces import (
     sphere,
     validate_space,
 )
+from ultratree.treeio import space_to_json
 
 F = Fraction
 
@@ -215,6 +224,95 @@ def brute_isometry_classes(n, values):
 
 # ---------------------------------------------------------------------------
 # the sphere-plus-center predicate
+
+
+def literal_predicate_oracle(space: UltraSpace) -> tuple[bool, Ball | None]:
+    """The predicate by its definition: for each distinct open ball, try
+    every center and every candidate radius (the attained distances plus one
+    above the maximum, where the sphere is empty)."""
+    att = space.attained()
+    radii = att + [att[-1] + 1] if att else [Fraction(1)]
+    for ball in balls(space):
+        want = set(ball.members)
+        if not any(
+            set(sphere(space, c, r)) | {c} == want
+            for c in ball.members
+            for r in radii
+        ):
+            return False, ball
+    return True, None
+
+
+def pseudo_space(rng: random.Random, n: int) -> UltraSpace:
+    """The path-max matrix of a random tree whose labels are often 0, so
+    adjacent 0 labels give off-diagonal zeros."""
+    return distance_matrix(random_tree(rng, n, pool=(F(0), F(0), F(1, 2), F(1), F(2))))
+
+
+def shuffled_copy(space: UltraSpace, rng: random.Random) -> UltraSpace:
+    """The space with its points reordered and renamed, so that neither
+    point order nor distance order matches name order."""
+    n = len(space)
+    perm = rng.sample(range(n), n)
+    names = rng.sample([f"x{i:02d}" for i in range(40)], n)
+    return validate_space(
+        names, [[space.dist[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    )
+
+
+def test_predicate_matches_literal_oracle_on_every_small_class():
+    """Every class on n <= 7 points with values within {1, 2, 3, 4}, as
+    enumerated and with its points shuffled and renamed."""
+    rng = random.Random(31)
+    count = 0
+    for n in range(1, 8):
+        for sp in enumerate_spaces(n, [F(1), F(2), F(3), F(4)]):
+            for case in (sp, shuffled_copy(sp, rng)):
+                assert conjecture_predicate(case) == literal_predicate_oracle(case), case
+            count += 1
+    assert count == 844
+
+
+def test_predicate_matches_literal_oracle_on_pseudo_spaces():
+    """Off-diagonal zeros: a point at distance 0 from c is in every ball
+    around c but on no sphere of positive radius, so every pseudo-space
+    fails, on a ball that the oracle must pick as well."""
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    pseudo = 0
+    for _ in range(400):
+        sp = pseudo_space(rng, rng.randrange(2, 9))
+        got = conjecture_predicate(sp)
+        assert got == literal_predicate_oracle(sp), sp
+        verdicts[got[0]] += 1
+        if not sp.proper:
+            pseudo += 1
+            assert got[0] is False
+    assert pseudo > 150 and verdicts[True] > 150, (pseudo, verdicts)
+
+
+def test_predicate_300_point_path_within_budget(capsys):
+    """An increasing-label path: row i holds 300 - i distinct distances, so
+    the literal search tries about 300^3 spheres; the row sort does not."""
+    budget = 10.0
+    n = 300
+    names = [f"v{i:03d}" for i in range(n)]
+    labels = [F(i + 1, 3) for i in range(n)]
+    space = UltraSpace(points=tuple(names), proper=True, dist=tuple(
+        tuple(labels[max(i, j)] if i != j else F(0) for j in range(n)) for i in range(n)
+    ))
+    t0 = time.monotonic()
+    ok, failing = conjecture_predicate(space)
+    elapsed = time.monotonic() - t0
+    # each ball {v_0..v_k} has v_k at one distance from all the others
+    passed = elapsed < budget and ok and failing is None
+    with capsys.disabled():
+        print(
+            f"conjecture_predicate n=300: {'PASS' if passed else 'FAIL'} — "
+            f"increasing-label path; {elapsed:.2f}s of {budget}s",
+            flush=True,
+        )
+    assert passed, f"took {elapsed:.2f}s, budget {budget}s"
 
 
 def test_predicate_two_point():
@@ -457,10 +555,20 @@ def test_enumerate_returns_distinct_classes():
 
 
 def test_enumerate_caps():
-    with pytest.raises(SizeCapExceeded):
-        enumerate_spaces(7, [F(1)])
-    with pytest.raises(SizeCapExceeded):
-        enumerate_spaces(3, [F(1), F(2), F(3), F(4), F(5)])
+    """One cap, on the class count, checked before anything is generated.
+    A single value gives one class at any n; eleven points over four values
+    give 20,759 classes; forty points over two values pass the cap already
+    on fewer points, so the error names a lower bound."""
+    assert ENUMERATE_CLASS_CAP == 10_000
+    assert len(enumerate_spaces(40, [F(1)])) == 1
+    assert len(enumerate_spaces(3, [F(1), F(2), F(3), F(4), F(5)])) == 15
+    assert len(enumerate_spaces(10, [F(1), F(2), F(3)])) == 817
+    with pytest.raises(SizeCapExceeded, match=(
+        r"^space enumeration \(isometry classes\) size 20759 exceeds cap 10000$"
+    )):
+        enumerate_spaces(11, [F(1), F(2), F(3), F(4)])
+    with pytest.raises(SizeCapExceeded, match=r"lower bound\) size \d+ exceeds cap 10000$"):
+        enumerate_spaces(40, [F(1), F(2)])
     with pytest.raises(InvalidDeclaration, match="n must be at least 1"):
         enumerate_spaces(0, [F(1)])
 
@@ -502,3 +610,73 @@ def test_scan_workers_deterministic():
         r.canonical_hierarchy for r in par.records
     ]
     assert seq.disagreements == par.disagreements
+
+
+def test_scan_reuses_the_enumerator_dendrogram(monkeypatch):
+    """The records equal those read off each materialized space's own
+    dendrogram, while the scan never builds one."""
+    spaces = enumerate_spaces(7, [F(1), F(2), F(3), F(4)])
+    want = [
+        (canonical_hierarchy(sp).encode(), conjecture_predicate(sp), representable(sp))
+        for sp in spaces
+    ]
+
+    def refuse(space):
+        raise AssertionError("conjecture_scan built a dendrogram")
+
+    monkeypatch.setattr("ultratree.finite_space.canonical_hierarchy", refuse)
+    report = conjecture_scan(7, [F(1), F(2), F(3), F(4)])
+    assert len(report.records) == len(want) == 518
+    for rec, (code, (pred, failing), tree) in zip(report.records, want):
+        assert (rec.canonical_hierarchy, rec.predicate, rec.failing_ball) == (
+            code, pred, failing
+        )
+        if tree is None:
+            assert rec.witness_tree is None
+        else:
+            got = rec.witness_tree
+            assert (got.vertices, got.edges, got.labels) == (
+                tree.vertices, tree.edges, tree.labels
+            )
+
+
+def test_scan_eight_points_within_budget(capsys):
+    """1,344 classes on eight points over four values, no disagreement."""
+    budget = 10.0
+    t0 = time.monotonic()
+    report = conjecture_scan(8, [F(1), F(2), F(3), F(4)])
+    elapsed = time.monotonic() - t0
+    ok = (
+        elapsed < budget
+        and len(report.records) == 1344
+        and report.disagree_count == 0
+        and report.agree_count == 1344
+    )
+    with capsys.disabled():
+        print(
+            f"conjecture_scan n=8, values 1..4: {'PASS' if ok else 'FAIL'} — "
+            f"{len(report.records)} classes, {report.disagree_count} disagree; "
+            f"{elapsed:.2f}s of {budget}s",
+            flush=True,
+        )
+    assert ok, f"took {elapsed:.2f}s, budget {budget}s"
+
+
+def test_cli_conjecture_predicate_json_on_a_pseudo_space(tmp_path, monkeypatch, capsys):
+    """The CLI row carries the oracle's failing ball: center, radius and
+    members."""
+    rng = random.Random(5)
+    sp = next(s for s in (pseudo_space(rng, 7) for _ in range(100))
+              if not s.proper and len(literal_predicate_oracle(s)[1].members) > 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pseudo.json").write_text(json.dumps(space_to_json(sp)), encoding="utf-8")
+    assert main(["conjecture-predicate", "--space", "pseudo.json", "--json"]) == 0
+    _, ball = literal_predicate_oracle(sp)
+    assert json.loads(capsys.readouterr().out) == {
+        "predicate": False,
+        "failing_ball": {
+            "center": ball.center,
+            "radius": format_rational(ball.radius),
+            "members": list(ball.members),
+        },
+    }

@@ -465,10 +465,12 @@ SCAN_ARGUMENT_ERRORS = [
      "error: InvalidDeclaration: values must be positive, got 0\n"),
     (["--n", "3", "--values", "2,-1/2"], 1,
      "error: InvalidDeclaration: values must be positive, got -1/2\n"),
-    (["--n", "7", "--values", "1"], 1,
-     "error: SizeCapExceeded: space enumeration size 7 exceeds cap 6\n"),
-    (["--n", "3", "--values", "1,2,3,4,5"], 1,
-     "error: SizeCapExceeded: distance value set size 5 exceeds cap 4\n"),
+    (["--n", "11", "--values", "1,2,3,4"], 1,
+     "error: SizeCapExceeded: space enumeration (isometry classes) size 20759 "
+     "exceeds cap 10000\n"),
+    (["--n", "40", "--values", "1,2"], 1,
+     "error: SizeCapExceeded: space enumeration (isometry classes, lower bound) "
+     "size 10143 exceeds cap 10000\n"),
     (["--n", "3"], 2, "usage error: scan needs --n and --values\n"),
 ]
 
@@ -608,6 +610,36 @@ def test_cli_malformed_symbolic_json_is_a_named_error(workdir, capsys, doc, mess
     assert err.startswith("error: InvalidDeclaration: " + message), err
     with pytest.raises(InvalidDeclaration):
         symbolic_from_json(doc)
+
+
+def nested_scaled(levels):
+    """``levels`` scaled nodes around a ray: levels + 2 JSON levels deep."""
+    doc = {"kind": "ray", "labels": {"kind": "harmonic", "a": "1"}}
+    for _ in range(levels):
+        doc = {"kind": "scaled", "inner": doc, "factor": "1"}
+    return doc
+
+
+NESTED_SYMBOLIC = [
+    (300, 0, ""),
+    (303, 0, ""),
+    (304, 1, "error: InvalidDeclaration: symbolic JSON nests 306 levels deep, "
+             "beyond the limit of 305\n"),
+    (500, 1, "error: InvalidDeclaration: symbolic JSON nests 502 levels deep, "
+             "beyond the limit of 305\n"),
+]
+
+
+@pytest.mark.parametrize("levels, code, message", NESTED_SYMBOLIC)
+def test_cli_nested_symbolic_document(workdir, capsys, levels, code, message):
+    """Up to the nesting limit every question is answered; past it the
+    document is refused by name, never with a RecursionError."""
+    with open("nested.json", "w", encoding="utf-8") as fh:
+        json.dump(nested_scaled(levels), fh)
+    for argv in (["classify"], ["predicates"], ["truncate", "--budget", "5"]):
+        got, out, err = run_cli(capsys, argv + ["--symbolic", "nested.json"])
+        assert (got, err) == (code, message), argv
+        assert bool(out) == (code == 0)
 
 
 MALFORMED_MATRIX = [
