@@ -33,7 +33,7 @@ from .finite_space import (
     enumerate_spaces,
     representable,
 )
-from .hull import CombReport, Hull, attachment_point, hull
+from .hull import CombReport, Hull, attachment_point, attachment_points, hull
 from .pathmax import all_pairs, build_index, query
 from .ratio import format_rational, parse_rational
 from .seqs import (
@@ -108,6 +108,7 @@ __all__ = [
     "CombReport",
     "Hull",
     "attachment_point",
+    "attachment_points",
     "hull",
     "all_pairs",
     "build_index",

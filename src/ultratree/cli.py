@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 domain error (named error on stderr), 2 usage error.
 All rationals print as integer or "p/q" strings; never floats.  Machine
 output via --json; DOT via export-dot; ULTRATREE_SIZE_CAP raises or lowers
-the truncation cap (1..1,000,000 vertices).  ``scan`` enumerates at most
-``finite_space.ENUMERATE_CLASS_CAP`` isometry classes, counted before any
-is generated.
+the truncation cap (1..1,000,000 vertices).  ``scan`` enumerates classes
+whose matrices hold at most ``finite_space.ENUMERATE_ENTRY_CAP`` entries,
+counted before any class is generated.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .classify import classify, free_predicates, isolated_points
 from .core_tree import build_tree, distance_matrix, is_isomorphic_labeled
 from .errors import InvalidDeclaration, UltraTreeError
 from .finite_space import conjecture_predicate, conjecture_scan, representable
-from .hull import attachment_point, hull
+from .hull import attachment_point, attachment_points, hull
 from .ratio import format_rational, parse_rational
 from .spaces import isometric
 from .symbolic import TRUNCATE_SIZE_CAP, truncate
@@ -421,14 +421,8 @@ def _cmd_export_dot(args) -> int:
     if args.set:
         a = [x.strip() for x in args.set.split(",") if x.strip()]
         h = hull(tree, a)
-        inside = set(h.subtree.vertices)
         generating = tuple(a)
-        root_set = {
-            attachment_point(tree, list(inside), v).root
-            for v in tree.vertices
-            if v not in inside
-        }
-        roots = tuple(sorted(root_set))
+        roots = tuple(sorted(set(attachment_points(tree, h.subtree.vertices).values())))
     _emit(export_dot(tree, generating, roots), args.out)
     return 0
 

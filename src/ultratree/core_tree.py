@@ -88,12 +88,14 @@ class LabeledTree:
 
 
 def build_tree(vertices, edges, labels) -> LabeledTree:
-    """Validate and freeze a labeled tree.
+    """Validate a labeled tree, then :func:`_freeze` it.
 
     Checks, in order: duplicate ids, self loops, unknown edge endpoints,
     missing, non-exact (float; see :func:`~ultratree.ratio.parse_rational`)
     or negative labels, acyclicity (union-find; the first edge closing
     a cycle is named), connectivity (an unreachable vertex is named).
+    A repeated edge is kept once.  Every tree that comes from outside the
+    package (JSON, the CLI, library callers) passes through here.
     """
     vs = list(vertices)
     seen: set[str] = set()
@@ -152,10 +154,28 @@ def build_tree(vertices, edges, labels) -> LabeledTree:
         if find(v) != root:
             raise NotConnected(v)
 
+    return _freeze(vs, norm_edges, lab)
+
+
+def _freeze(vertices, edges, labels) -> LabeledTree:
+    """The :class:`LabeledTree` that :func:`build_tree` returns for an input
+    it accepts, without its checks: vertices sorted, each edge written
+    (u, v) with u < v and the edges sorted, ``labels`` re-keyed in the order
+    of ``vertices``.
+
+    Only for producers whose output is a tree by construction, with
+    distinct nonempty string ids, each edge listed once, and every label a
+    nonnegative ``Fraction``: ``restrict`` (an induced connected subgraph
+    of a tree), ``finite_space._witness`` (one edge per dendrogram child),
+    ``symbolic.truncate`` (pieces joined at one vertex per gluing) and the
+    two relabelings in :mod:`ultratree.witness` (a valid tree's vertices
+    and edges with new positive or zero labels).  The tests pass each
+    producer's output through :func:`build_tree` and compare.
+    """
     return LabeledTree(
-        vertices=tuple(sorted(vs)),
-        edges=tuple(sorted(norm_edges)),
-        labels=lab,
+        vertices=tuple(sorted(vertices)),
+        edges=tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)),
+        labels={v: labels[v] for v in vertices},
     )
 
 
@@ -258,7 +278,7 @@ def restrict(tree: LabeledTree, subset) -> LabeledTree:
     _check_connected(tree, sub)
     adj = tree.adjacency
     sub_edges = [(u, v) for u in sub for v in adj[u] if u < v and v in sub]
-    return build_tree(sorted(sub), sub_edges, {v: tree.labels[v] for v in sub})
+    return _freeze(sorted(sub), sub_edges, tree.labels)
 
 
 def _check_connected(tree: LabeledTree, sub: set[str]) -> None:

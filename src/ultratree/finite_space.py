@@ -13,9 +13,10 @@ whose generated path-maximum distance reproduces the matrix entrywise?  It
 is read off the dendrogram (``spaces.canonical_hierarchy``) in O(n^2): a
 witness exists iff the space is proper and every dendrogram node has a
 leaf child.  ``enumerate_spaces`` generates each dendrogram shape, hence
-each isometry class, exactly once, after counting the classes against
-``ENUMERATE_CLASS_CAP``.  The predicate never reads the dendrogram, so the
-scan's agreement tally compares two separate implementations.
+each isometry class, exactly once, after counting the classes' matrix
+entries against ``ENUMERATE_ENTRY_CAP``.  The predicate never reads the
+dendrogram, so the scan's agreement tally compares two separate
+implementations.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .core_tree import LabeledTree, build_tree
+from .core_tree import LabeledTree, _freeze
 from .errors import InvalidDeclaration, SizeCapExceeded
 from .ratio import format_rational
 from .spaces import (
@@ -36,7 +37,9 @@ from .spaces import (
     space_from_hierarchy,
 )
 
-ENUMERATE_CLASS_CAP = 10_000
+# one n x n matrix per class: the cap bounds classes x n^2, so it holds at
+# any n, also when one value gives one class
+ENUMERATE_ENTRY_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,7 @@ def _witness(space: UltraSpace, root: Hierarchy) -> LabeledTree | None:
     """:func:`representable` on a proper space whose dendrogram ``root`` is
     already built."""
     if root.is_leaf:
-        return build_tree([root.point], [], {root.point: Fraction(0)})
+        return _freeze([root.point], [], {root.point: Fraction(0)})
     labels: dict[str, Fraction] = {}
     edges: list[tuple[str, str]] = []
     stack = [root]
@@ -136,7 +139,7 @@ def _witness(space: UltraSpace, root: Hierarchy) -> LabeledTree | None:
                 # a non-leaf child's hub is its first child, checked when popped
                 other = c if c.is_leaf else c.children[0]
                 edges.append((hub.point, other.point))
-    return build_tree(space.points, edges, labels)
+    return _freeze(space.points, edges, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +177,10 @@ def _count_classes(n: int, vals: list[Fraction]) -> int:
     is one of C(b + m - 1, m) multisets.
 
     The count never falls as n or the value set grows (a leaf added under
-    the root maps the classes on k points into those on k + 1), so the
-    first count past ENUMERATE_CLASS_CAP refuses the enumeration.  The error
-    names the class count on n points, or a lower bound for it when fewer
+    the root maps the classes on k points into those on k + 1), and neither
+    do the k^2 matrix entries per class, so the first entry count (classes
+    times k^2) past ENUMERATE_ENTRY_CAP refuses the enumeration.  The error
+    names the entry count on n points, or a lower bound for it when fewer
     points or values already pass the cap.
     """
     below = [0, 1] + [0] * (n - 1)
@@ -187,12 +191,12 @@ def _count_classes(n: int, vals: list[Fraction]) -> int:
                 prod(comb(below[s] + m - 1, m) for s, m in runs)
                 for runs in _runs(k, _stage_sizes(below, k))
             )
-            count = below[k] + at_v[k]
-            if count > ENUMERATE_CLASS_CAP:
+            entries = (below[k] + at_v[k]) * k * k
+            if entries > ENUMERATE_ENTRY_CAP:
                 exact = k == n and j == len(vals) - 1
-                what = "isometry classes" if exact else "isometry classes, lower bound"
+                what = "matrix entries" if exact else "matrix entries, lower bound"
                 raise SizeCapExceeded(
-                    count, ENUMERATE_CLASS_CAP, f"space enumeration ({what})"
+                    entries, ENUMERATE_ENTRY_CAP, f"space enumeration ({what})"
                 )
         below = [b + a for b, a in zip(below, at_v)]
     return below[n]
@@ -242,8 +246,8 @@ def enumerate_spaces(n: int, values: list[Fraction]) -> list[UltraSpace]:
     """All ultrametric spaces on n points with distances from ``values``,
     one representative per isometry class, in canonical-encoding order.
 
-    Raises SizeCapExceeded, before generating anything, when there are more
-    than ENUMERATE_CLASS_CAP classes.
+    Raises SizeCapExceeded, before generating anything, when the classes'
+    matrices hold more than ENUMERATE_ENTRY_CAP entries in all.
     """
     return [space_from_hierarchy(h) for _, h in _classes(n, values)]
 

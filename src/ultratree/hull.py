@@ -12,7 +12,8 @@ length) by climbing parent pointers, and checking or cutting out a subtree
 costs O(sum of its vertices' degrees).  So ``hull`` costs the lengths of
 its |A| - 1 anchor paths plus the degrees of the hull's vertices, and
 ``attachment_point`` the degrees of S plus one path from v; neither makes
-a whole-tree pass per call.
+a whole-tree pass per call.  ``attachment_points`` answers for every
+vertex outside S at once: one check of S, then one walk outward from it.
 """
 
 from __future__ import annotations
@@ -79,3 +80,29 @@ def attachment_point(tree: LabeledTree, subset, v: str) -> CombReport:
             spine = walk[: i + 1]
             return CombReport(tooth=v, root=x, path=tuple(reversed(spine)))
     raise NotConnectedSubset(s[0])  # unreachable on a valid tree
+
+
+def attachment_points(tree: LabeledTree, subset) -> dict[str, str]:
+    """The attachment point of every vertex outside the subtree on
+    ``subset``: ``attachment_point(tree, subset, v).root`` for each such v,
+    in O(n) for all of them.
+
+    ``subset`` must induce a connected subtree.  Each branch hanging off S
+    meets S in one vertex, so a walk outward from S gives every vertex of
+    the branch that vertex.
+    """
+    sset = set(subset)
+    if not sset:
+        raise EmptySet("subtree vertex set")
+    for w in sorted(sset):
+        if w not in tree.labels:
+            raise UnknownVertex(w)
+    _check_connected(tree, sset)
+    adj = tree.adjacency
+    roots: dict[str, str] = {}
+    stack = [(y, x) for x in sset for y in adj[x] if y not in sset]
+    while stack:
+        x, root = stack.pop()
+        roots[x] = root
+        stack.extend((y, root) for y in adj[x] if y not in sset and y not in roots)
+    return roots

@@ -4,7 +4,11 @@ Infinite parts of a symbolic tree (ray vertices, star leaves, family
 envelopes) carry their labels as a declared sequence.  Every kind answers,
 with exact rational arithmetic: the n-th term, limsup / liminf / inf / sup,
 whether the sequence vanishes (tends to 0), and which indices carry a term
->= eps (a finite list or the answer "infinitely many").
+>= eps (a finite list or the answer "infinitely many").  ``terms(stop)``
+gives the first ``stop`` terms at once, equal to ``term`` called for each
+index and raising where it would: a geometric sequence keeps a running
+product, a modulated one fills each child's slots from the child's own
+batch.
 
 Zeroness of every kind is eventually periodic, and ``zero_profile`` returns
 a (threshold, period) certificate; existential or universal questions about
@@ -195,6 +199,19 @@ class LabelSeq:
     def term(self, n: int) -> Fraction:
         raise NotImplementedError
 
+    def terms(self, stop: int) -> list[Fraction]:
+        """``[term(1), ..., term(stop)]`` (empty for stop < 1), with one
+        concreteness check for the batch.  It raises exactly when one of
+        those ``term`` calls would; kinds override ``_batch`` to compute
+        the terms together."""
+        if stop < 1:
+            return []
+        _need_concrete(self)
+        return self._batch(stop)
+
+    def _batch(self, stop: int) -> list[Fraction]:
+        return [self.term(n) for n in range(1, stop + 1)]
+
     def limsup(self) -> Fraction:
         raise NotImplementedError
 
@@ -272,6 +289,9 @@ class Const(LabelSeq):
         _need_concrete(self)
         return self.c
 
+    def _batch(self, stop):
+        return [self.c] * stop
+
     def limsup(self):
         _need_concrete(self)
         return self.c
@@ -314,6 +334,9 @@ class FiniteSupport(LabelSeq):
         if n < 1:
             raise InvalidDeclaration(f"index {n} out of range")
         return self.prefix[n - 1] if n <= len(self.prefix) else Fraction(0)
+
+    def _batch(self, stop):
+        return list(self.prefix[:stop]) + [Fraction(0)] * (stop - len(self.prefix))
 
     def limsup(self):
         return Fraction(0)
@@ -360,6 +383,10 @@ class Harmonic(LabelSeq):
             raise InvalidDeclaration(f"index {n} out of range")
         _need_concrete(self)
         return self.a / n
+
+    def _batch(self, stop):
+        a = self.a
+        return [a / n for n in range(1, stop + 1)]
 
     def limsup(self):
         return Fraction(0)
@@ -412,6 +439,14 @@ class Geometric(LabelSeq):
             raise InvalidDeclaration(f"index {n} out of range")
         _need_concrete(self)
         return self.a * self.r ** (n - 1)
+
+    def _batch(self, stop):
+        t, r = self.a, self.r
+        out = [t]
+        for _ in range(stop - 1):
+            t *= r
+            out.append(t)
+        return out
 
     def limsup(self):
         return Fraction(0)
@@ -500,6 +535,11 @@ class PrimeRecip(LabelSeq):
         _need_concrete(self)
         return self.a / nth_prime(n)
 
+    def _batch(self, stop):
+        nth_prime(stop)  # grows the prime table to ``stop`` primes
+        a = self.a
+        return [a / p for p in _PRIMES[:stop]]
+
     def limsup(self):
         return Fraction(0)
 
@@ -545,6 +585,9 @@ class Modulated(LabelSeq):
             raise InvalidDeclaration(
                 f"modulated needs exactly period={self.period} child sequences, got {len(self.seqs)}"
             )
+        # settled now, from the children's settled flags: asking lazily at
+        # the top of a deep nesting would recurse several frames per level
+        self.has_refs()
 
     def _split(self, n: int) -> tuple[int, int]:
         return (n - 1) % self.period, (n - 1) // self.period + 1
@@ -554,6 +597,15 @@ class Modulated(LabelSeq):
             raise InvalidDeclaration(f"index {n} out of range")
         i, j = self._split(n)
         return self.seqs[i].term(j)
+
+    def terms(self, stop):
+        # no check of its own: each child checks the terms it is asked for,
+        # so a child with refs but no terms in range raises nothing, as in
+        # the term-by-term loop
+        out = [None] * max(stop, 0)
+        for i, s in enumerate(self.seqs):
+            out[i :: self.period] = s.terms(len(range(i, stop, self.period)))
+        return out
 
     def limsup(self):
         return max(s.limsup() for s in self.seqs)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core_tree import LabeledTree, build_tree
+from .core_tree import LabeledTree, _freeze
 from .errors import (
     GlueLabelMismatch,
     InvalidDeclaration,
@@ -653,9 +653,14 @@ def truncate(
     addresses are resolved to their canonical addresses first, so a document
     may name a merged vertex through any of its copies.  One top-down walk
     writes every vertex once, under its final address; a part's copy of a
-    glued vertex is kept only until its label is checked.  Returns the tree
-    plus a map from canonical symbolic addresses to emitted vertex ids
-    (vertex ids are the address strings themselves).
+    glued vertex is kept only until its label is checked.  Rays and star
+    leaves take their labels in one ``terms`` batch.  A family whose
+    template holds no free ref has every member equal to the template, so
+    the template's supremum is found once and only the envelope value is
+    compared per member.  Returns the tree plus a map from canonical
+    symbolic addresses to emitted vertex ids (vertex ids are the address
+    strings themselves).  The tree is a tree by construction and is frozen
+    without re-validation (:func:`~ultratree.core_tree._freeze`).
     """
     if budget < 1:
         raise InvalidDeclaration(f"budget must be >= 1, got {budget}")
@@ -664,7 +669,7 @@ def truncate(
     if len(verts) > size_cap:
         raise SizeCapExceeded(len(verts), size_cap, "truncation")
     ids = {addr: format_address(addr) for addr in sorted(verts)}
-    tree = build_tree(
+    tree = _freeze(
         ids.values(),
         [(ids[a], ids[b]) for a, b in edges],
         {ids[a]: lab for a, lab in verts.items()},
@@ -714,20 +719,32 @@ def _walk(node, budget, prefix, scale, forced, out) -> None:
     else:
         pinned = list(by_step)
         steps = sorted({("member", m) for m in range(1, budget + 1)}.union(pinned))
+        # members share the template's structure, so the shared address is
+        # resolved once; a template without free refs is every member, so
+        # its supremum is found once too
+        fixed = not _node_has_free_refs(node.template)
     sites = {s: _glue_point(node, s)[1] for s in steps}
     for s in pinned:  # the other sites lie on a ray or star: canonical
         sites[s] = canonical(node.base, sites[s])
         base_forced.add(sites[s])
     _walk(node.base, budget, prefix + (BASE,), scale, base_forced, out)
+    sup = shared = None
     for step in steps:
         here = prefix + (BASE,) + sites[step]
         base_val = verts.get(here)
         if base_val is None:
             continue
-        part = _child(node, step, instantiate)
-        if step[0] == "member" and sup_labels(part) > node.envelope.term(step[1]):
-            raise InvalidDeclaration(f"envelope does not dominate member {step[1]}")
-        shared = canonical(part, _glue_point(node, step)[0])
+        if step[0] == "attach":
+            att = node.attachments[step[1]]
+            part, shared = att.part, canonical(att.part, att.shared)
+        else:
+            part = node.template if fixed else instantiate(node, step[1])
+            if sup is None or not fixed:
+                sup = sup_labels(part)
+            if sup > node.envelope.term(step[1]):
+                raise InvalidDeclaration(f"envelope does not dominate member {step[1]}")
+            if shared is None:
+                shared = canonical(part, node.shared)
         own = prefix + (step,) + shared
         merged[own] = merged.get(here, here)
         _walk(part, budget, prefix + (step,), scale, by_step.get(step, set()) | {shared}, out)
@@ -754,14 +771,16 @@ def _piece(piece, budget: int, forced) -> tuple[list[tuple], list, list[tuple[in
         )
     extra = [addr[0][1] for addr in forced if addr[0] != CENTER]
     if isinstance(piece, Ray):
-        idx = range(1, max([budget, *extra]) + 1)
-        links = [(i - 1, i) for i in range(1, len(idx))]
-        return [("ray", n) for n in idx], [piece.labels.term(n) for n in idx], links
+        top = max([budget, *extra])
+        links = [(i - 1, i) for i in range(1, top)]
+        return [("ray", n) for n in range(1, top + 1)], piece.labels.terms(top), links
     center = _concrete(piece.center_label, "center label")
-    idx = sorted(set(range(1, budget + 1)).union(extra))
+    seq = piece.leaf_labels
+    beyond = sorted({k for k in extra if k > budget})
+    idx = [*range(1, budget + 1), *beyond]
     return (
         [CENTER] + [("leaf", k) for k in idx],
-        [center] + [piece.leaf_labels.term(k) for k in idx],
+        [center, *seq.terms(budget), *(seq.term(k) for k in beyond)],
         [(0, i) for i in range(1, len(idx) + 1)],
     )
 

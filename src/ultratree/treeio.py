@@ -15,7 +15,8 @@ Sequences and constructors are encoded field by field from their
 dataclasses; a missing or malformed field raises InvalidDeclaration naming
 the kind and the field.  A symbolic document may nest JSON objects and
 arrays at most ``SYMBOLIC_DEPTH_CAP`` deep (300 nested ``scaled`` nodes
-over a ray are 302 deep); the decoder and the symbolic walkers recurse once
+over a ray are 302 deep), and ``modulated`` sequences at most
+``SEQ_DEPTH_CAP`` deep; the decoder and the symbolic walkers recurse once
 or more per level.
 
 All rationals are rendered as "p/q" or integer strings; no floats.
@@ -210,31 +211,43 @@ def symbolic_to_json(node: SymbolicTree) -> dict:
 
 # The decoder spends up to three Python frames per level, against the
 # default recursion limit of 1,000: 305 levels hold 300 nested ``scaled``
-# nodes and leave room for the caller's frames.
+# nodes and leave room for the caller's frames.  A ``modulated`` sequence
+# costs its evaluators more frames per level than a constructor does, so
+# sequences may nest a third as deep: 101 ``modulated`` levels.
 SYMBOLIC_DEPTH_CAP = 305
+SEQ_DEPTH_CAP = SYMBOLIC_DEPTH_CAP // 3
 
 
-def _json_depth(obj) -> int:
-    """Nesting depth of JSON objects and arrays (a scalar is 0), found
-    without recursion."""
-    depth, stack = 0, [(obj, 1)]
+def _json_depth(obj) -> tuple[int, int]:
+    """Nesting depth of JSON objects and arrays (a scalar is 0), and of
+    ``modulated`` sequence objects, found without recursion."""
+    depth = seq_depth = 0
+    stack = [(obj, 1, 0)]
     while stack:
-        item, level = stack.pop()
+        item, level, mods = stack.pop()
         if isinstance(item, dict):
+            if item.get("kind") == "modulated":
+                mods += 1
+                seq_depth = max(seq_depth, mods)
             item = item.values()
         elif not isinstance(item, list):
             continue
         depth = max(depth, level)
-        stack.extend((x, level + 1) for x in item)
-    return depth
+        stack.extend((x, level + 1, mods) for x in item)
+    return depth, seq_depth
 
 
 def symbolic_from_json(obj: dict, validate: bool = True) -> SymbolicTree:
-    depth = _json_depth(obj)
+    depth, seq_depth = _json_depth(obj)
     if depth > SYMBOLIC_DEPTH_CAP:
         raise InvalidDeclaration(
             f"symbolic JSON nests {depth} levels deep, "
             f"beyond the limit of {SYMBOLIC_DEPTH_CAP}"
+        )
+    if seq_depth > SEQ_DEPTH_CAP:
+        raise InvalidDeclaration(
+            f"label sequences nest {seq_depth} modulated levels deep, "
+            f"beyond the limit of {SEQ_DEPTH_CAP}"
         )
     node = _symbolic_from_json(obj)
     if validate:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import Verdict, classify, free_predicates, infinite_degree
-from .core_tree import build_tree
+from .core_tree import _freeze
 from .errors import PreconditionFailed
 from .ratio import format_rational
 from .seqs import Harmonic, Ref
@@ -59,7 +59,7 @@ def _relabel_positive(node: SymbolicTree) -> SymbolicTree:
     if isinstance(node, Finite):
         t = node.tree
         labels = {v: Fraction(1, i + 1) for i, v in enumerate(t.vertices)}
-        return Finite(build_tree(t.vertices, t.edges, labels))
+        return Finite(_freeze(t.vertices, t.edges, labels))
     if isinstance(node, Ray):
         return Ray(Harmonic(ONE))
     if isinstance(node, Star):
@@ -146,7 +146,7 @@ def _compact_relabel(node: SymbolicTree, forced_zero: set[Address]) -> SymbolicT
                     f"vertices {u} and {v} are adjacent and both must be "
                     "labeled zero",
                 )
-        return Finite(build_tree(t.vertices, t.edges, labels))
+        return Finite(_freeze(t.vertices, t.edges, labels))
     if isinstance(node, Ray):
         raise PreconditionFailed("rayless", "the free tree contains a ray")
     if isinstance(node, Star):

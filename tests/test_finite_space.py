@@ -31,7 +31,8 @@ from ultratree.core_tree import (
 )
 from ultratree.errors import InvalidDeclaration, SizeCapExceeded
 from ultratree.finite_space import (
-    ENUMERATE_CLASS_CAP,
+    ENUMERATE_ENTRY_CAP,
+    _count_classes,
     conjecture_predicate,
     conjecture_scan,
     enumerate_spaces,
@@ -555,19 +556,27 @@ def test_enumerate_returns_distinct_classes():
 
 
 def test_enumerate_caps():
-    """One cap, on the class count, checked before anything is generated.
-    A single value gives one class at any n; eleven points over four values
-    give 20,759 classes; forty points over two values pass the cap already
-    on fewer points, so the error names a lower bound."""
-    assert ENUMERATE_CLASS_CAP == 10_000
+    """One cap, on the matrix entries of all classes (classes x n^2),
+    checked before anything is generated.  A single value gives one class
+    at any n, so 1,000 points pass and 1,001 do not; ten points over four
+    values (8,429 classes) pass and eleven (20,759) do not; forty points
+    over two values pass the cap already on fewer points, so the error
+    names a lower bound."""
+    assert ENUMERATE_ENTRY_CAP == 1_000_000
     assert len(enumerate_spaces(40, [F(1)])) == 1
     assert len(enumerate_spaces(3, [F(1), F(2), F(3), F(4), F(5)])) == 15
     assert len(enumerate_spaces(10, [F(1), F(2), F(3)])) == 817
+    assert _count_classes(1000, [F(1)]) == 1
+    assert _count_classes(10, [F(1), F(2), F(3), F(4)]) == 8429
     with pytest.raises(SizeCapExceeded, match=(
-        r"^space enumeration \(isometry classes\) size 20759 exceeds cap 10000$"
+        r"^space enumeration \(matrix entries\) size 1002001 exceeds cap 1000000$"
+    )):
+        enumerate_spaces(1001, [F(1)])
+    with pytest.raises(SizeCapExceeded, match=(
+        r"^space enumeration \(matrix entries\) size 2511839 exceeds cap 1000000$"
     )):
         enumerate_spaces(11, [F(1), F(2), F(3), F(4)])
-    with pytest.raises(SizeCapExceeded, match=r"lower bound\) size \d+ exceeds cap 10000$"):
+    with pytest.raises(SizeCapExceeded, match=r"lower bound\) size \d+ exceeds cap 1000000$"):
         enumerate_spaces(40, [F(1), F(2)])
     with pytest.raises(InvalidDeclaration, match="n must be at least 1"):
         enumerate_spaces(0, [F(1)])

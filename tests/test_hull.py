@@ -6,7 +6,7 @@ import pytest
 
 from ultratree import errors
 from ultratree.core_tree import build_tree, path, restrict
-from ultratree.hull import attachment_point, hull
+from ultratree.hull import attachment_point, attachment_points, hull
 
 from conftest import random_tree
 
@@ -141,3 +141,29 @@ def test_hull_contains_pairwise_paths_random():
             for j in range(i + 1, len(a)):
                 if a[i] != a[j]:
                     assert set(path(t, a[i], a[j])) <= h
+
+
+def test_attachment_points_match_attachment_point():
+    """One walk outward from S gives every outside vertex the root that
+    attachment_point finds for it alone."""
+    rng = random.Random(2718)
+    for n in (1, 2, 3, 8, 30, 120):
+        tree = random_tree(rng, n)
+        for _ in range(4):
+            s = set(hull(tree, rng.sample(tree.vertices, rng.randint(1, min(n, 4)))).subtree.vertices)
+            want = {
+                v: attachment_point(tree, s, v).root
+                for v in tree.vertices if v not in s
+            }
+            assert attachment_points(tree, s) == want
+
+
+def test_attachment_points_refuse_what_attachment_point_refuses():
+    t = comb()
+    for subset, error in (([], errors.EmptySet), (["s0", "zz"], errors.UnknownVertex),
+                          (["s0", "s2"], errors.NotConnectedSubset)):
+        with pytest.raises(error) as want:
+            attachment_point(t, subset, "t3")
+        with pytest.raises(error) as got:
+            attachment_points(t, subset)
+        assert str(got.value) == str(want.value)

@@ -466,12 +466,15 @@ SCAN_ARGUMENT_ERRORS = [
     (["--n", "3", "--values", "2,-1/2"], 1,
      "error: InvalidDeclaration: values must be positive, got -1/2\n"),
     (["--n", "11", "--values", "1,2,3,4"], 1,
-     "error: SizeCapExceeded: space enumeration (isometry classes) size 20759 "
-     "exceeds cap 10000\n"),
+     "error: SizeCapExceeded: space enumeration (matrix entries) size 2511839 "
+     "exceeds cap 1000000\n"),
     (["--n", "40", "--values", "1,2"], 1,
-     "error: SizeCapExceeded: space enumeration (isometry classes, lower bound) "
-     "size 10143 exceeds cap 10000\n"),
+     "error: SizeCapExceeded: space enumeration (matrix entries, lower bound) "
+     "size 1223750 exceeds cap 1000000\n"),
     (["--n", "3"], 2, "usage error: scan needs --n and --values\n"),
+    (["--n", "1001", "--values", "1"], 1,
+     "error: SizeCapExceeded: space enumeration (matrix entries) size 1002001 "
+     "exceeds cap 1000000\n"),
 ]
 
 
@@ -522,6 +525,30 @@ def test_cli_export_dot_with_generating_set(workdir, capsys):
         '  "v1" -- "v5";\n'
         "}\n"
     )
+
+
+def test_cli_export_dot_roots_match_attachment_point(workdir, capsys):
+    """export-dot checks S once and walks outward from the hull; its double
+    circles are the roots attachment_point finds vertex by vertex."""
+    from conftest import random_tree
+    from ultratree.hull import attachment_point, hull
+
+    rng = random.Random(3141)
+    for n in (1, 2, 6, 25, 80):
+        tree = random_tree(rng, n)
+        with open("seeded.json", "w", encoding="utf-8") as fh:
+            json.dump(tree_to_json(tree), fh)
+        members = rng.sample(tree.vertices, rng.randint(1, min(n, 4)))
+        inside = set(hull(tree, members).subtree.vertices)
+        roots = {
+            attachment_point(tree, inside, v).root
+            for v in tree.vertices if v not in inside
+        }
+        code, out, err = run_cli(
+            capsys, ["export-dot", "--tree", "seeded.json", "--set", ",".join(members)]
+        )
+        assert (code, err) == (0, "")
+        assert out == export_dot(tree, tuple(members), tuple(sorted(roots)))
 
 
 def test_cli_out_flag_writes_file_instead_of_stdout(workdir, capsys):
@@ -636,6 +663,39 @@ def test_cli_nested_symbolic_document(workdir, capsys, levels, code, message):
     document is refused by name, never with a RecursionError."""
     with open("nested.json", "w", encoding="utf-8") as fh:
         json.dump(nested_scaled(levels), fh)
+    for argv in (["classify"], ["predicates"], ["truncate", "--budget", "5"]):
+        got, out, err = run_cli(capsys, argv + ["--symbolic", "nested.json"])
+        assert (got, err) == (code, message), argv
+        assert bool(out) == (code == 0)
+
+
+def nested_modulated(levels):
+    """A ray labeled by ``levels`` nested one-slot modulated sequences."""
+    seq = {"kind": "harmonic", "a": "1"}
+    for _ in range(levels):
+        seq = {"kind": "modulated", "period": 1, "seqs": [seq]}
+    return {"kind": "ray", "labels": seq}
+
+
+NESTED_SEQUENCES = [
+    (100, 0, ""),
+    (101, 0, ""),
+    (102, 1, "error: InvalidDeclaration: label sequences nest 102 modulated "
+             "levels deep, beyond the limit of 101\n"),
+    (150, 1, "error: InvalidDeclaration: label sequences nest 150 modulated "
+             "levels deep, beyond the limit of 101\n"),
+    (300, 1, "error: InvalidDeclaration: symbolic JSON nests 602 levels deep, "
+             "beyond the limit of 305\n"),
+]
+
+
+@pytest.mark.parametrize("levels, code, message", NESTED_SEQUENCES)
+def test_cli_nested_label_sequences(workdir, capsys, levels, code, message):
+    """Nested sequences are evaluated several frames per level, so they have
+    their own share of the nesting limit; past it the document is refused by
+    name, never with a RecursionError."""
+    with open("nested.json", "w", encoding="utf-8") as fh:
+        json.dump(nested_modulated(levels), fh)
     for argv in (["classify"], ["predicates"], ["truncate", "--budget", "5"]):
         got, out, err = run_cli(capsys, argv + ["--symbolic", "nested.json"])
         assert (got, err) == (code, message), argv

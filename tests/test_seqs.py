@@ -174,3 +174,58 @@ def test_count_geq_oracle_random():
             got = s.count_geq(eps)
             assert got is not INFINITE
             assert got == brute_count_geq(s, eps, 800)
+
+
+# ---------------------------------------------------------------------------
+# batched terms against the term-by-term oracle
+
+TERM_KINDS = [
+    Const("3/2"),
+    Const(0),
+    FiniteSupport(("1", "1/2", "0", "1/3")),
+    FiniteSupport(()),
+    Harmonic("2/3"),
+    Harmonic(0),
+    Geometric(3, "2/5"),
+    PrimeRecip("7/2"),
+    Custom(("1/2", "1"), F(1), F(1, 3), F(1, 3), False),
+    Custom((), F(1, 2), F(0), F(0), False),
+    Modulated(3, (Harmonic(1), Geometric(1, "1/2"), FiniteSupport(("1",)))),
+    Modulated(2, (
+        Modulated(3, (PrimeRecip(1), Const("1/4"), Custom(("1",), F(1), F(0), F(0), False))),
+        Modulated(1, (Harmonic(5),)),
+    )),
+]
+
+
+@pytest.mark.parametrize("seq", TERM_KINDS, ids=lambda s: s.describe())
+def test_terms_match_term_by_term(seq):
+    for stop in range(-1, 30):
+        assert seq.terms(stop) == [seq.term(n) for n in range(1, stop + 1)], stop
+
+
+def test_terms_with_refs_raise_as_term_does():
+    for seq in (Harmonic(Ref("site_label")), Geometric(1, Ref("envelope")),
+                PrimeRecip(Ref("envelope")), Const(Ref("site_label"))):
+        assert seq.terms(0) == []
+        with pytest.raises(InvalidDeclaration) as want:
+            seq.term(1)
+        with pytest.raises(InvalidDeclaration) as got:
+            seq.terms(3)
+        assert str(got.value) == str(want.value)
+    # a ref in a slot the batch does not reach raises nothing, term by term
+    # or batched
+    mixed = Modulated(3, (Harmonic(1), Const(2), Harmonic(Ref("site_label"))))
+    assert mixed.terms(2) == [mixed.term(1), mixed.term(2)] == [F(1), F(2)]
+    with pytest.raises(InvalidDeclaration, match="substitute first"):
+        mixed.terms(3)
+
+
+def test_terms_at_the_deepest_accepted_nesting():
+    from ultratree.treeio import SEQ_DEPTH_CAP
+
+    seq = Harmonic(1)
+    for _ in range(SEQ_DEPTH_CAP):
+        seq = Modulated(1, (seq,))
+    assert seq.terms(4) == [F(1), F(1, 2), F(1, 3), F(1, 4)]
+    assert not seq.has_refs()

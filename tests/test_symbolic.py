@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,9 +46,14 @@ from ultratree.symbolic import (
     truncate,
     validate_symbolic,
 )
-from ultratree.core_tree import build_tree
+from ultratree import core_tree, finite_space, symbolic, witness
+from ultratree.core_tree import build_tree, distance_matrix
+from ultratree.finite_space import representable
+from ultratree.hull import hull
 from ultratree.treeio import symbolic_from_json, symbolic_to_json
 from ultratree.witness import compact_labeling_witness, discrete_tb_labeling_witness
+
+from conftest import random_nondegenerate_tree
 
 F = Fraction
 
@@ -429,6 +435,90 @@ def test_truncate_glues_a_shared_vertex_named_by_a_non_canonical_copy():
         assert _ordered(truncate(doc, budget)) == _ordered(
             truncate(_glue(Ray(Const(F(1, 2))), "ray:2", _INNER, "base/vertex:b"), budget)
         )
+
+
+def _fields(tree):
+    """A tree's fields with the label order made visible."""
+    return tree.vertices, tree.edges, list(tree.labels.items())
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """Every ``_freeze`` call made while the test runs, as (calling
+    function, inputs, output)."""
+    freeze, calls = core_tree._freeze, []
+
+    def recording(vertices, edges, labels):
+        vertices, edges = list(vertices), list(edges)
+        tree = freeze(vertices, edges, labels)
+        calls.append((sys._getframe(1).f_code.co_name, (vertices, edges, labels), tree))
+        return tree
+
+    for module in (core_tree, finite_space, symbolic, witness):
+        monkeypatch.setattr(module, "_freeze", recording)
+    return calls
+
+
+def test_freeze_matches_build_tree_for_every_producer(freezes):
+    """The producers that skip validation hand ``_freeze`` only inputs that
+    ``build_tree`` accepts, and get the tree it would return."""
+    rng = random.Random(1729)
+    for n in (1, 2, 7, 40):
+        tree = random_nondegenerate_tree(rng, n)
+        for _ in range(3):
+            hull(tree, rng.sample(tree.vertices, rng.randint(1, min(n, 4))))
+        representable(distance_matrix(tree))
+    for doc in GOLDEN_DOCS:
+        node = symbolic_from_json(doc, validate=False)
+        for produce in (compact_labeling_witness, discrete_tb_labeling_witness,
+                        lambda x: truncate(x, 2), lambda x: truncate(x, 12)):
+            try:
+                produce(node)
+            except UltraTreeError:
+                pass
+    producers = {caller for caller, _, _ in freezes}
+    assert producers >= {
+        "restrict", "_witness", "truncate", "_relabel_positive", "_compact_relabel",
+    }
+    for caller, (vertices, edges, labels), tree in list(freezes):
+        assert list(tree.labels) == vertices, caller
+        assert _fields(build_tree(vertices, edges, labels)) == _fields(tree), caller
+
+
+def test_ref_free_family_path_matches_the_instantiate_path(monkeypatch):
+    """A template without free refs is every member: truncate walks it
+    without instantiating any member, and forcing one instantiation per
+    member gives the same tree, label order and address map, or error."""
+    nodes = [symbolic_from_json(doc, validate=False) for doc in GOLDEN_DOCS] + REFUSED
+    instantiated = []
+    real = symbolic.instantiate
+    monkeypatch.setattr(symbolic, "instantiate", lambda fam, m: instantiated.append(fam) or real(fam, m))
+
+    def run(node, budget):
+        try:
+            tree, addr_map = truncate(node, budget)
+        except UltraTreeError as exc:
+            return type(exc).__name__, str(exc)
+        return _fields(tree), list(addr_map.items())
+
+    fast = [run(node, b) for node in nodes for b in range(1, 9)]
+    has_free_refs = symbolic._node_has_free_refs
+    assert instantiated
+    assert all(has_free_refs(fam.template) for fam in instantiated)
+    instantiated.clear()
+    monkeypatch.setattr(symbolic, "_node_has_free_refs", lambda node: True)
+    assert [run(node, b) for node in nodes for b in range(1, 9)] == fast
+    assert sum(not has_free_refs(fam.template) for fam in instantiated) > 100
+
+
+def test_ref_free_family_envelope_checked_at_every_member():
+    """The template's supremum is found once, but each member's envelope
+    value is still compared with it."""
+    fam = GlueFamily(base=Ray(Const(1)), sites="all", template=Star(F(1), Const(F(1, 2))),
+                     shared=(("center",),), envelope=Harmonic(2))
+    assert len(truncate(fam, 2)[0]) == 2 + 2 * 2
+    with pytest.raises(InvalidDeclaration, match=r"^envelope does not dominate member 3$"):
+        truncate(fam, 3)
 
 
 # ---------------------------------------------------------------------------
