@@ -8,13 +8,18 @@ whether the sequence vanishes (tends to 0), and which indices carry a term
 gives the first ``stop`` terms at once, equal to ``term`` called for each
 index and raising where it would: a geometric sequence keeps a running
 product, a modulated one fills each child's slots from the child's own
-batch.
+batch, and a harmonic or prime-reciprocal one with a = p/q builds each term
+directly as ``Fraction(p, q * n)`` (n the index or the n-th prime), which
+costs one normalisation instead of a division.  ``scale(f)`` multiplies the
+parameters, so its terms are f times the terms, at no cost per term.
 
 Zeroness of every kind is eventually periodic, and ``zero_profile`` returns
 a (threshold, period) certificate; existential or universal questions about
 zero terms, also along arithmetic subprogressions of indices, are decided by
 scanning one certified window.  That is what makes non-degeneracy of an
-infinite labeling decidable.
+infinite labeling decidable.  A modulated sequence whose children are each
+zero everywhere or nowhere, all alike, is so itself and has profile (0, 1);
+otherwise every level multiplies its children's threshold and period.
 
 Parameters are rationals, or - inside a glue-family template - a
 :class:`Ref` to the member's site label or envelope value, with an optional
@@ -385,8 +390,8 @@ class Harmonic(LabelSeq):
         return self.a / n
 
     def _batch(self, stop):
-        a = self.a
-        return [a / n for n in range(1, stop + 1)]
+        p, q = self.a.numerator, self.a.denominator
+        return [Fraction(p, q * n) for n in range(1, stop + 1)]
 
     def limsup(self):
         return Fraction(0)
@@ -537,8 +542,8 @@ class PrimeRecip(LabelSeq):
 
     def _batch(self, stop):
         nth_prime(stop)  # grows the prime table to ``stop`` primes
-        a = self.a
-        return [a / p for p in _PRIMES[:stop]]
+        p, q = self.a.numerator, self.a.denominator
+        return [Fraction(p, q * r) for r in _PRIMES[:stop]]
 
     def limsup(self):
         return Fraction(0)
@@ -630,7 +635,13 @@ class Modulated(LabelSeq):
         return sorted(merged)
 
     def zero_profile(self):
-        thresholds, periods = zip(*(s.zero_profile() for s in self.seqs))
+        profiles = [s.zero_profile() for s in self.seqs]
+        # children each zero everywhere or nowhere, and all alike: so is the
+        # interleaving (decided only without refs, where is_zero would raise)
+        if (not self._refs and all(p == (0, 1) for p in profiles)
+                and len({s.is_zero(1) for s in self.seqs}) == 1):
+            return (0, 1)
+        thresholds, periods = zip(*profiles)
         return (self.period * (max(thresholds) + 1), self.period * lcm(*periods))
 
     def scale(self, factor):

@@ -651,87 +651,171 @@ def truncate(
     needed to stay connected) and validated: shared labels must match and the
     envelope must dominate each materialized member.  Glue sites and shared
     addresses are resolved to their canonical addresses first, so a document
-    may name a merged vertex through any of its copies.  One top-down walk
-    writes every vertex once, under its final address; a part's copy of a
-    glued vertex is kept only until its label is checked.  Rays and star
-    leaves take their labels in one ``terms`` batch.  A family whose
-    template holds no free ref has every member equal to the template, so
-    the template's supremum is found once and only the envelope value is
-    compared per member.  Returns the tree plus a map from canonical
-    symbolic addresses to emitted vertex ids (vertex ids are the address
-    strings themselves).  The tree is a tree by construction and is frozen
-    without re-validation (:func:`~ultratree.core_tree._freeze`).
+    may name a merged vertex through any of its copies.
+
+    One top-down walk (:func:`_walk`) cuts every Finite, Ray and Star piece
+    once and records it; each label costs one exact operation, with the
+    ``scaled`` factors above a piece folded into its sequence.  A family
+    whose template holds no free ref has every member equal to the template,
+    so the template's supremum is found once, only the envelope value is
+    compared per member, and the members share each piece's cut.  The
+    vertices are then named once each: the records sorted by prefix give
+    the sorted address order, and a vertex id is its piece's formatted
+    prefix plus its local step.
+
+    Returns the tree plus a map from canonical symbolic addresses to emitted
+    vertex ids (vertex ids are the address strings themselves).  The tree is
+    a tree by construction and is frozen without re-validation
+    (:func:`~ultratree.core_tree._freeze`).  ``SizeCapExceeded`` is raised
+    as soon as the vertices kept so far pass ``size_cap`` (a ray or star
+    piece is refused before its labels are computed), naming that count as
+    a lower bound; a document over the cap may therefore get it before a
+    ``GlueLabelMismatch`` or envelope error that lies later in the walk.
     """
     if budget < 1:
         raise InvalidDeclaration(f"budget must be >= 1, got {budget}")
-    verts, edges = {}, []
-    _walk(node, budget, (), None, set(), (verts, edges, {}))
-    if len(verts) > size_cap:
-        raise SizeCapExceeded(len(verts), size_cap, "truncation")
-    ids = {addr: format_address(addr) for addr in sorted(verts)}
-    tree = _freeze(
-        ids.values(),
-        [(ids[a], ids[b]) for a, b in edges],
-        {ids[a]: lab for a, lab in verts.items()},
-    )
-    return tree, {i: i for i in ids.values()}
+    out = _Truncation(budget, size_cap)
+    _walk(node, (), None, {}, out)
+    labels, edges = {}, []
+    for prefix in sorted(out.pieces):
+        cut, moved = out.pieces[prefix]
+        head = format_address(prefix) + "/" if prefix else ""
+        names = [head + t for t in cut.texts]
+        kept = 0  # the labels of names[kept:] are still to be written
+        for i in sorted(moved):
+            labels.update(zip(names[kept:i], cut.labels[kept:i]))
+            names[i], kept = moved[i], i + 1
+        labels.update(zip(names[kept:], cut.labels[kept:]))
+        get = names.__getitem__
+        edges += zip(map(get, cut.heads), map(get, cut.tails))
+    tree = _freeze(labels, edges, labels)
+    return tree, {v: v for v in labels}
+
+
+class _Truncation:
+    """State of one :func:`truncate` call.
+
+    ``pieces`` maps each cut piece's address prefix to (cut, moved), where
+    ``moved`` maps the index of each copy a gluing merges away to the final
+    name of the vertex it merges into.  ``cuts`` holds the cut of each
+    (piece, scale, forced steps) met so far, with the piece itself, so that
+    its id is not reused, and the index of each forced step.
+    """
+
+    __slots__ = ("budget", "cap", "kept", "pieces", "cuts")
+
+    def __init__(self, budget: int, cap: int):
+        self.budget, self.cap, self.kept = budget, cap, 0
+        self.pieces: dict[Address, tuple[_Cut, dict[int, str]]] = {}
+        self.cuts: dict[tuple, tuple] = {}
+
+
+class _Cut:
+    """One piece cut at the budget: its local step texts (``ray:3``,
+    ``center``, ...) in address order, their labels, its edges as two
+    index sequences, and step text -> index, built on the first lookup."""
+
+    __slots__ = ("texts", "labels", "heads", "tails", "index")
+
+    def __init__(self, texts, labels, heads, tails):
+        self.texts, self.labels, self.heads, self.tails = texts, labels, heads, tails
+        self.index = None
+
+    def label(self, text: str):
+        """The label of the vertex ``text``, None when the cut omits it."""
+        if self.index is None:
+            self.index = {t: i for i, t in enumerate(self.texts)}
+        i = self.index.get(text)
+        return None if i is None else self.labels[i]
 
 
 # a module-level recursion: a closure that calls itself would keep each
 # truncation alive in a reference cycle until a full collection
-def _walk(node, budget, prefix, scale, forced, out) -> None:
-    """Write the truncation of ``node`` into ``out`` = (labels by final
-    address, edges, final address of each merged copy).
+def _walk(node, prefix, scale, forced, out) -> None:
+    """Record the truncation of ``node`` in ``out``.
 
     ``prefix`` is the node's address, ``scale`` the product of the scale
-    factors above it (None below no ``scaled`` node) and ``forced`` the
-    node-local addresses the truncation must include.  A gluing walks its
-    base, then each part.  The part's copy of a glued vertex stays in the
-    labels under its own address until the gluing compares its label with
-    the base copy's and drops it; its edges take the base copy's final
-    address.
+    factors above it (None below no ``scaled`` node) and ``forced`` maps
+    each node-local address the truncation must include to None, or, for
+    a part's copy of a glued vertex, to a holder [final name, label]: the
+    piece holding that copy fills in its label, marks it moved and names
+    its edges after the final name.  A gluing walks its base, then each
+    part, and compares the label each part left in its holder with the
+    base copy's.
+
+    Each piece becomes one record under its prefix.  No piece's prefix is a
+    prefix of another's, and each record lists its steps in address order
+    (ray and leaf indices ascending, ``center`` before the leaves, the
+    sorted vertices of a Finite), so sorting the records by prefix sorts
+    every vertex by address.  The kept vertices (moved copies excluded) are
+    counted as records are added, against the size cap, and a ray or star
+    is checked against it before its labels are computed.
     """
-    verts, edges, merged = out
     while isinstance(node, ScaledLabels):
         factor = _concrete(node.factor, "scale factor")
         scale = factor if scale is None else scale * factor
         node = node.inner
     if isinstance(node, PIECES):
-        local, labels, links = _piece(node, budget, forced)
-        if scale is not None:
-            labels = [scale * lab for lab in labels]
-        names = [prefix + (step,) for step in local]
-        verts.update(zip(names, labels))
-        for addr in forced:
-            own = prefix + addr
-            if own in merged:
-                names[local.index(addr[0])] = merged[own]
-        edges.extend((names[i], names[j]) for i, j in links)
+        key = (id(node), scale, frozenset(forced))
+        hit = out.cuts.get(key)
+        if hit is None:
+            if not isinstance(node, Finite):
+                # a ray holds at least budget vertices and a star one more:
+                # refuse before cutting one that passes the cap
+                holders = sum(hold is not None for hold in forced.values())
+                least = out.budget + isinstance(node, Star) - holders
+                _check_cap(out, out.kept + least)
+            cut = _piece(node, out.budget, forced, scale)
+            at = {addr: cut.texts.index(format_address(addr)) for addr in forced}
+            hit = out.cuts[key] = (node, cut, at)
+        _, cut, at = hit
+        moved = {}
+        for addr, hold in forced.items():
+            if hold is not None:
+                i = at[addr]
+                moved[i] = hold[0]
+                hold[1] = cut.labels[i]
+        out.pieces[prefix] = cut, moved
+        out.kept += len(cut.texts) - len(moved)
+        _check_cap(out, out.kept)
         return
-    by_step: dict[tuple, set[Address]] = {}
-    for addr in forced:
-        by_step.setdefault(addr[0], set()).add(addr[1:])
-    base_forced = by_step.pop(BASE, set())
-    # every attachment is glued; a family glues the members m <= budget
-    # whose site the base reaches, and the members forced addresses name
+    by_step: dict[tuple, dict] = {}
+    for addr, hold in forced.items():
+        by_step.setdefault(addr[0], {})[addr[1:]] = hold
+    base_forced = by_step.pop(BASE, {})
+    base_prefix = prefix + (BASE,)
+    # (step, site, piece prefix and step text of the site, its name) of
+    # every part: each attachment, or the members m <= budget plus the
+    # members forced addresses name, with the family's sites found by
+    # arithmetic on its ray or star base
     if isinstance(node, GlueFinite):
-        steps = pinned = [("attach", i) for i in range(len(node.attachments))]
+        parts = []
+        for i, att in enumerate(node.attachments):
+            site = canonical(node.base, att.site)
+            base_forced.setdefault(site, None)
+            parts.append((("attach", i), site, base_prefix + site[:-1],
+                          format_address(site[-1:]), format_address(base_prefix + site)))
     else:
-        pinned = list(by_step)
-        steps = sorted({("member", m) for m in range(1, budget + 1)}.union(pinned))
+        kind, _, start, stride = _site_progression(node)
+        pinned = sorted(m for _, m in by_step)
+        for m in pinned:
+            base_forced.setdefault((site_base_step(node, m),), None)
+        head = format_address(base_prefix) + "/"
+        members = [*range(1, out.budget + 1), *(m for m in pinned if m > out.budget)]
+        sites = ((m, start + (m - 1) * stride) for m in members)
+        parts = (
+            (("member", m), ((kind, n),), base_prefix, f"{kind}:{n}", f"{head}{kind}:{n}")
+            for m, n in sites
+        )
         # members share the template's structure, so the shared address is
         # resolved once; a template without free refs is every member, so
         # its supremum is found once too
         fixed = not _node_has_free_refs(node.template)
-    sites = {s: _glue_point(node, s)[1] for s in steps}
-    for s in pinned:  # the other sites lie on a ray or star: canonical
-        sites[s] = canonical(node.base, sites[s])
-        base_forced.add(sites[s])
-    _walk(node.base, budget, prefix + (BASE,), scale, base_forced, out)
+    _walk(node.base, base_prefix, scale, base_forced, out)
     sup = shared = None
-    for step in steps:
-        here = prefix + (BASE,) + sites[step]
-        base_val = verts.get(here)
+    for step, site, site_prefix, text, name in parts:
+        base_cut = out.pieces.get(site_prefix)
+        base_val = None if base_cut is None else base_cut[0].label(text)
         if base_val is None:
             continue
         if step[0] == "attach":
@@ -745,12 +829,14 @@ def _walk(node, budget, prefix, scale, forced, out) -> None:
                 raise InvalidDeclaration(f"envelope does not dominate member {step[1]}")
             if shared is None:
                 shared = canonical(part, node.shared)
-        own = prefix + (step,) + shared
-        merged[own] = merged.get(here, here)
-        _walk(part, budget, prefix + (step,), scale, by_step.get(step, set()) | {shared}, out)
-        part_val = verts.pop(own)
+        outer = base_forced.get(site)
+        hold = [name if outer is None else outer[0], None]
+        sub = dict(by_step.get(step, ()))
+        sub[shared] = hold
+        _walk(part, prefix + (step,), scale, sub, out)
+        part_val = hold[1]
         if part_val != base_val:
-            where = format_address((BASE,) + sites[step])
+            where = format_address((BASE,) + site)
             if step[0] == "member":
                 where = f"member:{step[1]} at {where}"
             if scale is not None:  # report the values at this gluing's scale
@@ -758,31 +844,42 @@ def _walk(node, budget, prefix, scale, forced, out) -> None:
             raise GlueLabelMismatch(where, base_val, part_val)
 
 
-def _piece(piece, budget: int, forced) -> tuple[list[tuple], list, list[tuple[int, int]]]:
-    """(local address steps, labels, edges as index pairs) of a Finite, Ray
-    or Star cut at ``budget`` and extended to the indices ``forced`` names."""
+def _check_cap(out: _Truncation, kept: int) -> None:
+    """Refuse a truncation once ``kept``, a lower bound on its vertex
+    count, passes the size cap."""
+    if kept > out.cap:
+        raise SizeCapExceeded(kept, out.cap, "truncation (vertices, lower bound)")
+
+
+def _piece(piece, budget: int, forced, scale) -> _Cut:
+    """A Finite, Ray or Star cut at ``budget``, extended to the indices
+    ``forced`` names, with its labels multiplied by ``scale`` (None:
+    unscaled).  A sequence takes the factor through ``scale`` and gives its
+    terms in one batch, so each label costs one exact operation."""
     if isinstance(piece, Finite):
         vs = piece.tree.vertices
         at = {v: i for i, v in enumerate(vs)}
-        return (
-            [("vertex", v) for v in vs],
-            [piece.tree.labels[v] for v in vs],
-            [(at[u], at[v]) for u, v in piece.tree.edges],
+        labels = [piece.tree.labels[v] for v in vs]
+        return _Cut(
+            ["vertex:" + v for v in vs],
+            labels if scale is None else [scale * x for x in labels],
+            [at[u] for u, _ in piece.tree.edges],
+            [at[v] for _, v in piece.tree.edges],
         )
     extra = [addr[0][1] for addr in forced if addr[0] != CENTER]
     if isinstance(piece, Ray):
+        seq = piece.labels if scale is None else piece.labels.scale(scale)
         top = max([budget, *extra])
-        links = [(i - 1, i) for i in range(1, top)]
-        return [("ray", n) for n in range(1, top + 1)], piece.labels.terms(top), links
+        texts = [f"ray:{n}" for n in range(1, top + 1)]
+        return _Cut(texts, seq.terms(top), range(top - 1), range(1, top))
     center = _concrete(piece.center_label, "center label")
     seq = piece.leaf_labels
+    if scale is not None:
+        center, seq = scale * center, seq.scale(scale)
     beyond = sorted({k for k in extra if k > budget})
-    idx = [*range(1, budget + 1), *beyond]
-    return (
-        [CENTER] + [("leaf", k) for k in idx],
-        [center, *seq.terms(budget), *(seq.term(k) for k in beyond)],
-        [(0, i) for i in range(1, len(idx) + 1)],
-    )
+    texts = ["center", *(f"leaf:{k}" for k in range(1, budget + 1)), *(f"leaf:{k}" for k in beyond)]
+    labels = [center, *seq.terms(budget), *(seq.term(k) for k in beyond)]
+    return _Cut(texts, labels, [0] * (len(texts) - 1), range(1, len(texts)))
 
 
 # ---------------------------------------------------------------------------

@@ -764,7 +764,10 @@ def test_cli_env_cap_override(workdir, capsys, monkeypatch):
         capsys, ["truncate", "--symbolic", "fig10.json", "--budget", "8"]
     )
     assert code == 1
-    assert err == "error: SizeCapExceeded: truncation size 40 exceeds cap 5\n"
+    assert err == (
+        "error: SizeCapExceeded: truncation (vertices, lower bound) size 8 "
+        "exceeds cap 5\n"
+    )
     monkeypatch.delenv("ULTRATREE_SIZE_CAP")
     code, out, err = run_cli(
         capsys, ["truncate", "--symbolic", "fig10.json", "--budget", "8"]

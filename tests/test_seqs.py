@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -229,3 +231,100 @@ def test_terms_at_the_deepest_accepted_nesting():
         seq = Modulated(1, (seq,))
     assert seq.terms(4) == [F(1), F(1, 2), F(1, 3), F(1, 4)]
     assert not seq.has_refs()
+
+
+@pytest.mark.parametrize("seq", TERM_KINDS, ids=lambda s: s.describe())
+def test_scale_then_terms_is_terms_times_the_factor(seq):
+    for factor in (F(1), F(3), F(2, 7)):
+        assert seq.scale(factor).terms(25) == [factor * t for t in seq.terms(25)]
+
+
+def test_scaled_terms_with_refs_raise_as_unscaled_ones_do():
+    for seq in (Harmonic(Ref("site_label")), Geometric(1, Ref("envelope")),
+                PrimeRecip(Ref("envelope", F(1, 2))), Const(Ref("site_label")),
+                Modulated(2, (Harmonic(1), Harmonic(Ref("envelope"))))):
+        with pytest.raises(InvalidDeclaration) as want:
+            seq.terms(4)
+        with pytest.raises(InvalidDeclaration) as got:
+            seq.scale(F(3)).terms(4)
+        assert str(got.value) == str(want.value) == (
+            "sequence still contains template refs; substitute first"
+        )
+
+
+# ---------------------------------------------------------------------------
+# zero profiles of nested modulated sequences
+
+
+def _loose_profile(seq):
+    """The certificate without the everywhere-or-nowhere shortcut: each
+    modulated level multiplies its children's threshold and period."""
+    if isinstance(seq, Modulated):
+        thresholds, periods = zip(*(_loose_profile(s) for s in seq.seqs))
+        return seq.period * (max(thresholds) + 1), seq.period * math.lcm(*periods)
+    return seq.zero_profile()
+
+
+def _random_nested(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((
+            lambda: Const(rng.choice((F(0), F(1, 2)))),
+            lambda: Harmonic(rng.choice((F(0), F(1)))),
+            lambda: Geometric(rng.choice((F(0), F(1))), F(1, 2)),
+            lambda: PrimeRecip(rng.choice((F(0), F(2)))),
+            lambda: FiniteSupport(tuple(rng.choice((F(0), F(1))) for _ in range(rng.randint(0, 3)))),
+            lambda: (lambda zeros, low: Custom((F(0),) * zeros, F(1), low,
+                                               F(0) if zeros else low, False))(
+                rng.randint(0, 2), rng.choice((F(0), F(1, 2)))),
+        ))()
+    period = rng.randint(1, 3)
+    return Modulated(period, tuple(_random_nested(rng, depth - 1) for _ in range(period)))
+
+
+def test_zero_questions_match_brute_force_on_nested_sequences():
+    """Each answer equals a scan of the terms over a window the loose
+    certificate covers, on seeded nestings up to four levels deep."""
+    rng = random.Random(2718)
+    shortcut = 0
+    for _ in range(400):
+        seq = _random_nested(rng, 4)
+        n0, q = _loose_profile(seq)
+        zero = [None] + [t == 0 for t in seq.terms(n0 + 16 * q + 8)]
+        shortcut += seq.zero_profile() == (0, 1) != (n0, q)
+        for start, step in ((1, 1), (1, 2), (2, 2), (3, 3), (2, 5)):
+            window = range(start, n0 + 3 * step * q + step + 1, step)
+            assert seq.zero_in_progression(start, step) == any(zero[n] for n in window)
+            assert seq.all_zero_in_progression(start, step) == all(zero[n] for n in window)
+        first = next((n for n in range(1, n0 + 2 * q + 2) if zero[n] and zero[n + 1]), None)
+        assert seq.has_adjacent_zero_pair() == first
+    assert shortcut > 20
+
+
+def test_zero_profile_with_refs_keeps_the_loose_certificate():
+    """``is_zero`` raises on refs, so a nesting with a ref is not checked for
+    the shortcut and its profile is computed as before, without raising."""
+    seq = Modulated(2, (Harmonic(Ref("site_label")), Modulated(1, (Const(F(1, 2)),))))
+    assert seq.zero_profile() == (2 * (0 + 1), 2 * 1)
+    assert Modulated(2, (Harmonic(1), Const(F(1, 2)))).zero_profile() == (0, 1)
+    assert Modulated(2, (Harmonic(1), Const(0))).zero_profile() == (2, 2)
+
+
+def test_zero_profile_of_a_deep_never_zero_nesting_within_budget():
+    """A ray labeled by ``modulated(2; ., const(1/2))`` nested 30 deep: the
+    loose certificate's window would have about 2**31 terms."""
+    from ultratree.classify import classify
+    from ultratree.symbolic import Ray
+
+    budget = 2.0
+    seq = Harmonic(1)
+    for _ in range(30):
+        seq = Modulated(2, (seq, Const(F(1, 2))))
+    start = time.perf_counter()
+    assert seq.zero_profile() == (0, 1)
+    assert not seq.zero_in_progression(1, 1) and not seq.all_zero_in_progression(2, 3)
+    assert seq.has_adjacent_zero_pair() is None
+    verdict = classify(Ray(seq))
+    took = time.perf_counter() - start
+    print(f"nested modulated depth 30: zero questions and classify in {took:.3f}s of {budget:.0f}s")
+    assert verdict.complete and not verdict.totally_bounded
+    assert took < budget

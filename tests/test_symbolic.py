@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,17 @@ from ultratree.errors import (
     UltraTreeError,
     UnknownVertex,
 )
-from ultratree.seqs import INFINITE, Const, Custom, Geometric, Harmonic, Modulated, PrimeRecip, Ref
+from ultratree.seqs import (
+    INFINITE,
+    Const,
+    Custom,
+    FiniteSupport,
+    Geometric,
+    Harmonic,
+    Modulated,
+    PrimeRecip,
+    Ref,
+)
 from ultratree.symbolic import (
     Attachment,
     Finite,
@@ -519,6 +530,227 @@ def test_ref_free_family_envelope_checked_at_every_member():
     assert len(truncate(fam, 2)[0]) == 2 + 2 * 2
     with pytest.raises(InvalidDeclaration, match=r"^envelope does not dominate member 3$"):
         truncate(fam, 3)
+
+
+# seeded random documents against the oracle
+
+_VALUES = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2))
+_FACTORS = (F(2), F(1, 3), F(5, 2))
+
+
+def _random_seq(rng, refs=False, depth=0):
+    """A sequence of any kind, nested ``modulated`` included; with ``refs``
+    its parameters may name the member's site label or envelope."""
+    kinds = ["const", "finite_support", "harmonic", "geometric", "prime_recip", "custom"]
+    kind = rng.choice(kinds + ["modulated"] * (depth < 2))
+
+    def val():
+        if refs and rng.random() < 0.5:
+            return Ref(rng.choice(("site_label", "envelope")), rng.choice((F(1), F(1, 2))))
+        return rng.choice(_VALUES)
+
+    if kind == "const":
+        return Const(val())
+    if kind == "harmonic":
+        return Harmonic(val())
+    if kind == "prime_recip":
+        return PrimeRecip(val())
+    if kind == "geometric":
+        return Geometric(val(), rng.choice((F(1, 2), F(2, 3))))
+    if kind == "finite_support":
+        return FiniteSupport(tuple(rng.choice(_VALUES) for _ in range(rng.randint(0, 4))))
+    if kind == "custom":
+        prefix = tuple(rng.choice((F(0), F(1, 4), F(1, 2))) for _ in range(rng.randint(0, 3)))
+        liminf = rng.choice((F(0), F(1, 4)))
+        return Custom(prefix, rng.choice((F(1, 2), F(1))), liminf, min((*prefix, liminf)), False)
+    period = rng.randint(1, 3)
+    return Modulated(period, tuple(_random_seq(rng, refs, depth + 1) for _ in range(period)))
+
+
+def _random_piece(rng):
+    r = rng.random()
+    if r < 0.4:
+        return Ray(_random_seq(rng))
+    if r < 0.8:
+        return Star(rng.choice(_VALUES), _random_seq(rng))
+    names = ["a", "b", "c"][: rng.randint(1, 3)]
+    return Finite(build_tree(names, list(zip(names, names[1:])),
+                             {v: rng.choice(_VALUES) for v in names}))
+
+
+def _some_addresses(node):
+    """Addresses of a few vertices of ``node``: those of a small truncation
+    (refs bound to sample values), else its default shared vertex."""
+    try:
+        _, addr_map = truncate(symbolic.substitute_node(node, {"site_label": F(1, 2), "envelope": F(1)}), 2)
+        return [parse_address(a) for a in addr_map]
+    except UltraTreeError:
+        return [symbolic.default_shared(node)]
+
+
+def _matching_part(rng, node, site):
+    """An edge whose shared vertex ``vertex:s`` carries the label of
+    ``node`` at ``site`` when that label is concrete, else a random one."""
+    try:
+        label = label_at(node, site)
+    except UltraTreeError:
+        label = rng.choice(_VALUES)
+    return Finite(build_tree(["s", "t"], [("s", "t")], {"s": label, "t": rng.choice(_VALUES)}))
+
+
+def _random_family(rng, depth):
+    if rng.random() < 0.5:  # a template with refs: it matches every site
+        base = Ray(_random_seq(rng)) if rng.random() < 0.5 else Star(rng.choice(_VALUES), _random_seq(rng))
+        sites = "leaves" if isinstance(base, Star) else rng.choice(("all", "even", "odd"))
+        template, shared = rng.choice((
+            lambda: (Star(Ref("site_label"), _random_seq(rng, True)), "center"),
+            lambda: (Ray(Geometric(Ref("site_label"), F(1, 2))), "ray:1"),
+            # one Finite object under a different factor in every member
+            lambda: (ScaledLabels(_edge("a", F(1), "b", F(1, 2)), Ref("site_label")), "vertex:a"),
+            lambda: (_glue(Star(Ref("site_label"), Const(Ref("envelope"))), "leaf:1",
+                           Star(Ref("envelope"), Harmonic(1)), "center"), "base/center"),
+        ))()
+    else:  # a template without refs on sites that all carry its label
+        c = rng.choice((F(0), F(1, 2)))
+        base, sites = rng.choice((
+            (Ray(Const(c)), rng.choice(("all", "even", "odd"))),
+            (Ray(Modulated(2, (Harmonic(1), Const(c)))), "even"),
+            (Star(F(0), Const(c)), "leaves"),
+        ))
+        template, shared = rng.choice((
+            lambda: (Finite(build_tree(["a", "b"], [("a", "b")], {"a": c, "b": F(1)})), "vertex:a"),
+            lambda: (Star(c, _random_seq(rng)), "center"),
+            lambda: (_glue(Star(c, Harmonic(1)), "leaf:1", Ray(Harmonic(1)), "ray:1"), "base/center"),
+            lambda: (lambda t: (t, symbolic.format_address(rng.choice(_some_addresses(t)))))(
+                _random_node(rng, depth - 1)),
+        ))()
+    envelope = Harmonic(F(3)) if rng.random() < 0.2 else Const(F(4))
+    return GlueFamily(base=base, sites=sites, template=template,
+                      shared=parse_address(shared), envelope=envelope)
+
+
+def _random_node(rng, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        return _random_piece(rng)
+    if r < 0.4:
+        return ScaledLabels(_random_node(rng, depth - 1), rng.choice(_FACTORS))
+    if r < 0.75:
+        base = _random_node(rng, depth - 1)
+        if rng.random() < 0.5:  # pin members past any budget tried below
+            base = _random_family(rng, depth - 1)
+        attachments = []
+        for _ in range(rng.randint(1, 2)):
+            site = rng.choice(_some_addresses(base))
+            if isinstance(base, GlueFamily) and rng.random() < 0.7:
+                m = rng.randint(5, 9)
+                try:
+                    inner = rng.choice(_some_addresses(instantiate(base, m)))
+                    # the oracle takes canonical addresses only
+                    site = symbolic.canonical(base, (("member", m),) + inner)
+                except UltraTreeError:
+                    pass  # a member that cannot be built (a zero scale factor)
+            if rng.random() < 0.6:
+                part, shared = _matching_part(rng, base, site), (("vertex", "s"),)
+            else:
+                part = _random_node(rng, depth - 1)
+                shared = rng.choice(_some_addresses(part))
+            attachments.append(Attachment(site, part, shared))
+        return GlueFinite(base, tuple(attachments))
+    return _random_family(rng, depth)
+
+
+def test_truncate_matches_oracle_on_random_documents():
+    """Seeded random documents: scaled pieces of every sequence kind, glue
+    nested in gluings, families with and without refs in their templates,
+    and members pinned past the budget by a gluing that names them."""
+    rng = random.Random(8128)
+    answered = refused = pinned = ref_free = with_refs = 0
+    for _ in range(160):
+        node = _random_node(rng, 3)
+        for _, fam in symbolic.walk_constructors(node):
+            if isinstance(fam, GlueFamily):
+                if symbolic._node_has_free_refs(fam.template):
+                    with_refs += 1
+                else:
+                    ref_free += 1
+        for budget in (1, 2, 4):
+            want = _truncation_or_error(truncate_oracle, node, budget)
+            got = _truncation_or_error(truncate, node, budget)
+            assert got == want, (symbolic_to_json(node), budget)
+            if isinstance(want[0], str):
+                refused += 1
+            else:
+                answered += 1
+                pinned += any(f"member:{m}/" in v for v in want[0].vertices for m in range(5, 10))
+    print(f"random documents: {answered} answered, {refused} refused, "
+          f"{pinned} with pinned members, families {ref_free} ref-free, {with_refs} with refs")
+    assert answered > 250 and refused > 60 and pinned > 20
+    assert ref_free > 20 and with_refs > 20
+
+
+@pytest.mark.parametrize("seq", [
+    Const(F(3, 2)), FiniteSupport((F(1), F(0), F(1, 3))), Harmonic(F(2, 3)),
+    Geometric(3, F(2, 5)), PrimeRecip(F(7, 2)),
+    Custom((F(1, 2), F(1)), F(1), F(1, 3), F(1, 3), False),
+    Modulated(2, (Modulated(3, (PrimeRecip(1), Const(0), Harmonic(2))), Geometric(1, F(1, 2)))),
+], ids=lambda s: s.kind)
+def test_truncate_scales_rays_and_stars_of_every_kind(seq):
+    """A ``scaled`` factor folded into the sequence gives the labels the
+    oracle gets by multiplying each one, under one or two factors."""
+    for node in (Ray(seq), Star(F(1, 2), seq), _glue(Star(F(0), seq), "leaf:3", Ray(seq), "ray:5")):
+        for factors in ((F(2),), (F(1, 3), F(5, 2))):
+            scaled = node
+            for f in factors:
+                scaled = ScaledLabels(scaled, f)
+            for budget in (1, 3, 7):
+                assert (_truncation_or_error(truncate, scaled, budget)
+                        == _truncation_or_error(truncate_oracle, scaled, budget))
+
+
+def test_truncate_names_a_vertex_glued_at_two_levels_once():
+    """The inner gluing's site is the copy the outer gluing merges away, so
+    the star glued there hangs off the outer base's ray vertex."""
+    inner = _glue(_edge("x", F(1, 2), "u", F(1)), "vertex:x", Star(F(1, 2), Harmonic(1)), "center")
+    for outer in (_glue(Ray(Const(F(1, 2))), "ray:2", inner, "base/vertex:x"),
+                  ScaledLabels(_glue(Star(F(0), Const(F(1, 2))), "leaf:3", inner, "base/vertex:x"), F(3))):
+        for budget in (1, 2, 4):
+            tree, addr_map = got = truncate(outer, budget)
+            assert _ordered(got) == _ordered(truncate_oracle(outer, budget))
+            assert build_tree(tree.vertices, tree.edges, tree.labels) == tree
+            assert not any("vertex:x" in v or "attach:0/center" in v for v in addr_map)
+
+
+def test_truncate_cap_counts_kept_vertices_only():
+    """The count the cap is checked against leaves out each part's copy of a
+    glued vertex: fig. 10 at budget 8 has 40 vertices, its base ray 8 and
+    every member star 8 more besides its glued center."""
+    assert len(truncate(fig10(), 8, size_cap=40)[0].vertices) == 40
+    with pytest.raises(SizeCapExceeded, match=r"size 40 exceeds cap 39$"):
+        truncate(fig10(), 8, size_cap=39)
+    with pytest.raises(SizeCapExceeded, match=r"size 16 exceeds cap 12$"):
+        truncate(fig10(), 8, size_cap=12)
+
+
+def test_truncate_refuses_past_the_cap_as_soon_as_it_is_passed():
+    """Fig. 1 at budget 2000 holds about four million vertices; the cap is
+    checked as pieces are cut, so the refusal comes within seconds and
+    names a lower bound."""
+    budget = 10.0
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match=r"^truncation \(vertices, lower bound\) size \d+ exceeds cap 200000$") as err:
+        truncate(fig1(), 2000)
+    took = time.perf_counter() - start
+    print(f"truncate fig1 at budget 2000: refused in {took:.2f}s of {budget:.0f}s")
+    assert err.value.size <= 200_000 + 2001
+    assert took < budget
+
+
+def test_truncate_refuses_a_ray_or_star_past_the_cap_before_cutting_it(monkeypatch):
+    monkeypatch.setattr(symbolic, "_piece", lambda *args: pytest.fail("cut past the cap"))
+    for node in (Ray(Harmonic(1)), ScaledLabels(Star(F(0), PrimeRecip(1)), F(2))):
+        with pytest.raises(SizeCapExceeded, match=r"size 100000000[01] exceeds cap 200000$"):
+            truncate(node, 10**9)
 
 
 # ---------------------------------------------------------------------------
