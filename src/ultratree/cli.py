@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .spaces import isometric
 from .symbolic import TRUNCATE_SIZE_CAP, truncate
 from .treeio import (
     export_dot,
+    format_rows,
     space_from_json,
     space_to_json,
     symbolic_from_json,
@@ -163,14 +165,12 @@ def _cmd_matrix(args) -> int:
     if args.json:
         _emit(json.dumps(space_to_json(space), indent=2) + "\n", args.out)
         return 0
-    width = max(
-        [len(p) for p in space.points]
-        + [len(format_rational(e)) for row in space.dist for e in row]
-    )
-    head = " ".join(f"{p:>{width}}" for p in space.points)
+    rows = format_rows(space.dist)
+    width = max(map(len, itertools.chain(space.points, *rows)))
+    head = " ".join(p.rjust(width) for p in space.points)
     lines = [f"{'':>{width}} {head}"]
-    for p, row in zip(space.points, space.dist):
-        cells = " ".join(f"{format_rational(e):>{width}}" for e in row)
+    for p, row in zip(space.points, rows):
+        cells = " ".join([e.rjust(width) for e in row])
         lines.append(f"{p:>{width}} {cells}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

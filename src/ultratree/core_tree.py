@@ -12,7 +12,9 @@ Each tree is rooted once, at ``vertices[0]``, in one O(n) pass
 O(path length), and ``restrict`` reads the subset's edges off the adjacency
 lists in O(sum of the members' degrees).  ``dl_naive`` walks the path per
 query and is the reference oracle for the indexed variant in
-:mod:`ultratree.pathmax`.
+:mod:`ultratree.pathmax`.  ``distance_matrix`` fills the whole matrix in
+O(n^2) from the tree's single-linkage dendrogram, comparing labels only as
+integer ranks; no path is walked.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     DuplicateVertex,
@@ -91,9 +94,10 @@ def build_tree(vertices, edges, labels) -> LabeledTree:
     """Validate a labeled tree, then :func:`_freeze` it.
 
     Checks, in order: duplicate ids, self loops, unknown edge endpoints,
-    missing, non-exact (float; see :func:`~ultratree.ratio.parse_rational`)
-    or negative labels, acyclicity (union-find; the first edge closing
-    a cycle is named), connectivity (an unreachable vertex is named).
+    missing, non-exact (float or bool; see
+    :func:`~ultratree.ratio.parse_rational`) or negative labels, acyclicity
+    (union-find; the first edge closing a cycle is named), connectivity
+    (an unreachable vertex is named).
     A repeated edge is kept once.  Every tree that comes from outside the
     package (JSON, the CLI, library callers) passes through here.
     """
@@ -234,30 +238,75 @@ def is_non_degenerate(tree: LabeledTree) -> tuple[bool, list[tuple[str, str]]]:
 
 
 def distance_matrix(tree: LabeledTree) -> UltraSpace:
-    """All pairwise generated distances, via one DFS per source vertex.
+    """All pairwise generated distances, filled block by block from the
+    tree's single-linkage dendrogram (Gower & Ross 1969) in O(n^2).
+
+    The vertices are activated in increasing label order, and each becomes
+    the parent of the components of its already active neighbours.  In
+    this Kruskal tree every subtree is a connected piece of the labeled
+    tree whose labels are at most its root's, so ``d(u,v)`` is the label of
+    the lowest common ancestor of u and v.  Numbered in post-order, each
+    subtree is a contiguous range, and a vertex's row is its parent's row
+    with the vertex's own range overwritten.  Labels are compared as
+    integer ranks; every entry is one of the tree's distinct label
+    objects, or a shared zero.
 
     The result's ``proper`` flag records whether the distance separates
-    points (equivalently, whether the labeling is non-degenerate).
+    points: whether no edge has both endpoints labeled 0.
     """
     pts = tree.vertices
-    index = {p: i for i, p in enumerate(pts)}
     n = len(pts)
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    for src in pts:
-        i = index[src]
-        stack = [(src, src)]
-        running: dict[str, Fraction] = {src: tree.labels[src]}
-        while stack:
-            x, par = stack.pop()
-            for y in tree.adjacency[x]:
-                if y == par:
-                    continue
-                running[y] = max(running[x], tree.labels[y])
-                dist[i][index[y]] = running[y]
-                stack.append((y, x))
-    rows = tuple(tuple(r) for r in dist)
-    proper = all(rows[i][j] > 0 for i in range(n) for j in range(i + 1, n))
-    return UltraSpace(points=pts, dist=rows, proper=proper)
+    labels = tree.labels
+    values = sorted(set(labels.values()))
+    rank = {x: r for r, x in enumerate(values)}
+    zero = values[0] if values[0] == 0 else Fraction(0)
+    if n == 1:
+        return UltraSpace(points=pts, dist=((zero,),), proper=True)
+    index = {p: i for i, p in enumerate(pts)}
+    ranks = [rank[labels[p]] for p in pts]
+    value = [values[r] for r in ranks]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in tree.edges:
+        i, j = index[u], index[v]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    order = sorted(range(n), key=ranks.__getitem__)
+    active = [False] * n
+    comp = list(range(n))  # union-find; a component's root is its last vertex
+    kids: list[list[int]] = [[] for _ in range(n)]
+    size = [1] * n
+    for a in order:
+        for b in nbrs[a]:
+            if active[b]:
+                while comp[b] != b:
+                    comp[b] = comp[comp[b]]
+                    b = comp[b]
+                kids[a].append(b)
+                comp[b] = a
+                size[a] += size[b]
+        active[a] = True
+    # post-order: vertex a holds positions lo[a] .. pos[a], and pos[a] last;
+    # a's row reads value[a] across that range until its children copy it
+    lo = [0] * n
+    pos = [0] * n
+    rows: list = [None] * n
+    top = order[-1]
+    pos[top] = n - 1
+    rows[top] = [value[top]] * n
+    for a in reversed(order):  # parents before children
+        start = lo[a]
+        base = rows[a]
+        for c in kids[a]:
+            lo[c] = start
+            start += size[c]
+            pos[c] = start - 1
+            row = base.copy()
+            row[lo[c] : start] = [value[c]] * size[c]
+            rows[c] = row
+        base[pos[a]] = zero
+    dist = tuple(map(itemgetter(*pos), rows))
+    proper = all(labels[u] or labels[v] for u, v in tree.edges)
+    return UltraSpace(points=pts, dist=dist, proper=proper)
 
 
 def restrict(tree: LabeledTree, subset) -> LabeledTree:

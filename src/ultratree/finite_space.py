@@ -28,7 +28,7 @@ from math import comb, prod
 
 from .core_tree import LabeledTree, _freeze
 from .errors import InvalidDeclaration, SizeCapExceeded
-from .ratio import format_rational
+from .ratio import format_rational, parse_rational
 from .spaces import (
     Ball,
     Hierarchy,
@@ -206,6 +206,9 @@ def _classes(n: int, values: list[Fraction]):
     """Yield (encoding, dendrogram) for every isometry class of spaces on n
     points with distances from ``values``, in encoding order.
 
+    ``values`` are read by :func:`~ultratree.ratio.parse_rational`, so a
+    float or a bool raises InvalidDeclaration.
+
     Each class is one dendrogram shape, generated once: a node with value v
     takes a multiset of at least two children whose sizes sum to its own
     and whose values are below v.  Siblings are sorted by shape, so naming
@@ -215,7 +218,7 @@ def _classes(n: int, values: list[Fraction]):
     """
     if n < 1:
         raise InvalidDeclaration(f"n must be at least 1, got {n}")
-    vals = sorted({Fraction(v) for v in values})
+    vals = sorted({parse_rational(v) for v in values})
     if vals and vals[0] <= 0:
         raise InvalidDeclaration(
             f"values must be positive, got {format_rational(vals[0])}"

@@ -6,7 +6,9 @@ ancestor in power-of-two strides, folding in per-stride segment maxima.  The
 build starts from the tree's own cached rooting
 (:attr:`~ultratree.core_tree.LabeledTree.rooting`), shared as ``up[0]`` and
 ``depth``, so a tree is traversed once however many layers use it.
-Matches :func:`ultratree.core_tree.dl_naive` exactly.
+Matches :func:`ultratree.core_tree.dl_naive` exactly.  ``all_pairs`` does
+not query the index: it is :func:`ultratree.core_tree.distance_matrix`
+behind a size cap.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_tree import LabeledTree
+from .core_tree import LabeledTree, distance_matrix
 from .errors import SizeCapExceeded, UnknownVertex
 from .spaces import UltraSpace
 
@@ -86,18 +88,13 @@ def query(index: PathMaxIndex, u: str, v: str) -> Fraction:
 
 
 def all_pairs(index: PathMaxIndex, cap: int = ALL_PAIRS_CAP) -> UltraSpace:
-    """Full distance matrix from the index; refuses trees above ``cap``."""
-    tree = index.tree
-    n = len(tree)
+    """Full distance matrix of the index's tree; refuses trees above ``cap``.
+
+    No per-pair queries: the matrix is
+    :func:`~ultratree.core_tree.distance_matrix`, filled in O(n^2) from the
+    tree's single-linkage dendrogram.
+    """
+    n = len(index.tree)
     if n > cap:
         raise SizeCapExceeded(n, cap, "all-pairs matrix")
-    pts = tree.vertices
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = query(index, pts[i], pts[j])
-            dist[i][j] = dij
-            dist[j][i] = dij
-    rows = tuple(tuple(r) for r in dist)
-    proper = all(rows[i][j] > 0 for i in range(n) for j in range(i + 1, n))
-    return UltraSpace(points=pts, dist=rows, proper=proper)
+    return distance_matrix(index.tree)

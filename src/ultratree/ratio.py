@@ -12,13 +12,17 @@ from .errors import InvalidDeclaration
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "p" (also accepts int/Fraction passthrough)."""
+    """Parse "p/q" or "p" (also accepts int/Fraction passthrough); a float
+    or a bool raises InvalidDeclaration."""
     if isinstance(text, Fraction):
         return text
+    # a bool is an int, and Fraction(0.1) is not 1/10: refuse both
+    if isinstance(text, (bool, float)):
+        raise InvalidDeclaration(
+            f"{type(text).__name__}s are not accepted, got {text!r}"
+        )
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        raise InvalidDeclaration(f"floats are not accepted, got {text!r}")
     if not isinstance(text, str):
         raise InvalidDeclaration(f"not a rational: {text!r}")
     try:

@@ -15,7 +15,7 @@ form in O(n^2), which decides isometry and representability.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -38,6 +38,12 @@ class UltraSpace:
     points: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
     proper: bool
+    # (d(v, p), v, p) for every point v > 0 and its nearest earlier point p
+    # (the lowest index among ties), as validate_space finds them; None
+    # when the space was built some other way
+    nearest: tuple[tuple[Fraction, int, int], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -114,8 +120,13 @@ def validate_space(points, matrix) -> UltraSpace:
             if before[u] > expect[u]:
                 raise StrongTriangleViolation(pts[v], pts[u], pts[p])
             raise StrongTriangleViolation(pts[p], pts[u], pts[v])
-        nearest.append(dvp)
-    return UltraSpace(points=pts, dist=rows, proper=all(nearest))
+        nearest.append((dvp, v, p))
+    return UltraSpace(
+        points=pts,
+        dist=rows,
+        proper=all(w for w, _, _ in nearest),
+        nearest=tuple(nearest),
+    )
 
 
 def _exact_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -207,20 +218,23 @@ def canonical_hierarchy(space: UltraSpace) -> Hierarchy:
     """Dendrogram of the space, built bottom-up in O(n^2).
 
     Each point is joined to its nearest earlier point; ``validate_space``
-    proves that the path maxima of this spanning tree are the distances.
-    Union-find then merges clusters over its n - 1 edges in weight order:
-    the clusters joined at one weight are one node's children, sorted by
-    (shape, lowest point index).
+    proves that the path maxima of this spanning tree are the distances,
+    and keeps its edges in ``space.nearest``, so the rows are scanned for
+    them here only when the space was built some other way.  Union-find
+    then merges clusters over the n - 1 edges in weight order: the clusters
+    joined at one weight are one node's children, sorted by (shape, lowest
+    point index).
     """
-    dist = space.dist
     n = len(space.points)
     nodes = [Hierarchy(Fraction(0), point=p) for p in space.points]
-    edges = []
-    for v in range(1, n):
-        before = dist[v][:v]
-        w = min(before)
-        edges.append((w, v, before.index(w)))
-    edges.sort()
+    edges = space.nearest
+    if edges is None:
+        edges = []
+        for v in range(1, n):
+            before = space.dist[v][:v]
+            w = min(before)
+            edges.append((w, v, before.index(w)))
+    edges = sorted(edges)
     parent = list(range(n))  # union-find over point indices
 
     def find(i: int) -> int:

@@ -38,7 +38,7 @@ from .errors import (
     SizeCapExceeded,
     UnknownVertex,
 )
-from .ratio import format_rational
+from .ratio import format_rational, parse_rational
 from .seqs import (
     INFINITE,
     Const,
@@ -1116,8 +1116,10 @@ def _loose_family_hits(fam: GlueFamily, eps: Fraction):
 
 
 def count_vertices_geq(node: SymbolicTree, eps: Fraction):
-    """|{v : label(v) >= eps}| as an exact integer or INFINITE."""
-    eps = Fraction(eps)
+    """|{v : label(v) >= eps}| as an exact integer or INFINITE.  ``eps``
+    is read by :func:`~ultratree.ratio.parse_rational`: a float or a bool
+    raises InvalidDeclaration."""
+    eps = parse_rational(eps)
     if eps <= 0:
         raise InvalidDeclaration(f"eps must be positive, got {eps}")
     if isinstance(node, Finite):
@@ -1165,8 +1167,9 @@ def count_vertices_geq(node: SymbolicTree, eps: Fraction):
 
 def exceedance_bound(node: SymbolicTree, eps: Fraction):
     """A budget b such that truncate(node, b) materializes every vertex with
-    label >= eps; INFINITE when count_vertices_geq is infinite."""
-    eps = Fraction(eps)
+    label >= eps; INFINITE when count_vertices_geq is infinite.  ``eps``
+    is read as in :func:`count_vertices_geq`."""
+    eps = parse_rational(eps)
     if eps <= 0:
         raise InvalidDeclaration(f"eps must be positive, got {eps}")
     if isinstance(node, Finite):

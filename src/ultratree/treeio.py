@@ -82,11 +82,19 @@ def tree_from_json(obj: dict) -> LabeledTree:
 # spaces
 
 
+def format_rows(dist) -> list[list[str]]:
+    """The rows of a distance matrix as "p/q" strings.  A matrix repeats a
+    few distance objects many times, so each distinct object is formatted
+    once; ``seen`` holds the objects, so their ids stay unique meanwhile."""
+    seen: dict[int, Fraction] = {}
+    for row in dist:
+        seen.update(zip(map(id, row), row))
+    text = {key: format_rational(e) for key, e in seen.items()}
+    return [list(map(text.__getitem__, map(id, row))) for row in dist]
+
+
 def space_to_json(space: UltraSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "d": [[format_rational(e) for e in row] for row in space.dist],
-    }
+    return {"points": list(space.points), "d": format_rows(space.dist)}
 
 
 def space_from_json(obj: dict) -> UltraSpace:

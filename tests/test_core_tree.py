@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
@@ -365,3 +366,114 @@ def test_restrict_matches_all_edges_scan_on_random_subsets():
             assert attachment_point(t, sub, outside[0]).root == root
         connected += 1
     assert connected > 100 and disconnected > 50
+
+
+# ---------------------------------------------------------------------------
+# distance_matrix against the per-source walk it replaced
+
+
+def distance_matrix_dfs(tree):
+    """Oracle: one DFS per source vertex, carrying the running path
+    maximum; the rows of the generated distance in vertex order."""
+    pts = tree.vertices
+    index = {p: i for i, p in enumerate(pts)}
+    n = len(pts)
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for src in pts:
+        i = index[src]
+        stack = [(src, src)]
+        running = {src: tree.labels[src]}
+        while stack:
+            x, par = stack.pop()
+            for y in tree.adjacency[x]:
+                if y == par:
+                    continue
+                running[y] = max(running[x], tree.labels[y])
+                dist[i][index[y]] = running[y]
+                stack.append((y, x))
+    return tuple(tuple(r) for r in dist)
+
+
+def shaped_tree(n, shape, labels):
+    names = vertex_names(n)
+    if shape == "path":
+        edges = list(zip(names, names[1:]))
+    else:  # a star centred at the middle vertex
+        edges = [(names[n // 2], x) for x in names if x != names[n // 2]]
+    return build_tree(names, edges, dict(zip(names, labels)))
+
+
+def oracle_trees():
+    rng = random.Random(1969)
+    trees = [random_tree(rng, rng.randrange(1, 31)) for _ in range(150)]
+    trees += [random_nondegenerate_tree(rng, rng.randrange(2, 31)) for _ in range(50)]
+    # few distinct labels: long runs of ties
+    trees += [
+        random_tree(rng, rng.randrange(2, 31), pool=(Fraction(0), Fraction(7, 3)))
+        for _ in range(30)
+    ]
+    for n in (1, 2, 3, 9, 24):
+        increasing = [Fraction(i + 1, 3) for i in range(n)]
+        for labels in (
+            increasing,
+            increasing[::-1],
+            [Fraction(5)] * n,
+            [Fraction(0)] * n,
+            [Fraction(i % 3) for i in range(n)],
+            [Fraction(2 * i - n) ** 2 for i in range(n)],  # a valley
+        ):
+            for shape in ("path", "star"):
+                trees.append(shaped_tree(n, shape, labels))
+    return trees
+
+
+def test_distance_matrix_matches_dfs_and_path_walk_oracles():
+    for t in oracle_trees():
+        sp = distance_matrix(t)
+        assert sp.points == t.vertices
+        assert sp.dist == distance_matrix_dfs(t)
+        for i, u in enumerate(t.vertices):
+            for j, v in enumerate(t.vertices):
+                assert sp.dist[i][j] == dl_naive(t, u, v)
+        assert sp.proper == is_non_degenerate(t)[0]
+        # one object per distinct value
+        entries = [e for row in sp.dist for e in row]
+        assert len({id(e) for e in entries}) == len(set(entries))
+
+
+def test_distance_matrix_within_budget_on_deep_and_wide_trees(capsys):
+    """An increasing path makes the single-linkage dendrogram as deep as
+    the tree is long; a random recursive tree makes it bushy."""
+    budget = 1.0
+    n = 1200
+    names = [f"v{i:04d}" for i in range(n)]
+    labels = [Fraction(i + 1, 3) for i in range(n)]
+    deep = build_tree(names, list(zip(names, names[1:])), dict(zip(names, labels)))
+    wide = random_tree(random.Random(1000), 1000)
+    times = []
+    spaces = []
+    for t in (deep, wide):
+        t0 = time.monotonic()
+        spaces.append(distance_matrix(t))
+        times.append(time.monotonic() - t0)
+    rng = random.Random(1001)
+    samples = [rng.sample(range(len(wide)), 2) for _ in range(2000)]
+    ok = (
+        max(times) < budget
+        # d(v_i, v_j) is the label of the later vertex
+        and spaces[0].dist == tuple(
+            (labels[i],) * i + (0,) + tuple(labels[i + 1 :]) for i in range(n)
+        )
+        and all(
+            spaces[1].dist[i][j] == dl_naive(wide, wide.vertices[i], wide.vertices[j])
+            for i, j in samples
+        )
+    )
+    with capsys.disabled():
+        print(
+            f"distance_matrix: {'PASS' if ok else 'FAIL'} — 1,200-vertex "
+            f"increasing path {times[0]:.2f}s, 1,000-vertex random tree "
+            f"{times[1]:.2f}s, each of {budget}s",
+            flush=True,
+        )
+    assert ok, f"took {times}, budget {budget}s each"

@@ -466,6 +466,7 @@ def test_representable_1200_point_path_within_budget(capsys):
     space = UltraSpace(points=tuple(names), proper=True, dist=tuple(
         tuple(labels[max(i, j)] if i != j else F(0) for j in range(n)) for i in range(n)
     ))
+    assert distance_matrix(tree).dist == space.dist
     # each level holds one new point and the path below it
     code = f"({format_rational(labels[1])} * *)"
     for k in range(2, n):

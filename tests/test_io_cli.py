@@ -733,6 +733,25 @@ def test_cli_malformed_matrix_json_is_a_named_error(workdir, capsys, doc, messag
         space_from_json(doc)
 
 
+JSON_BOOLEANS = [
+    (["matrix", "--tree"], {"vertices": {"a": True, "b": "1"}, "edges": [["a", "b"]]}),
+    (["validate", "--tree"], {"vertices": {"a": "1", "b": False}, "edges": [["a", "b"]]}),
+    (["validate", "--space"], {"points": ["a", "b"], "d": [["0", True], [True, "0"]]}),
+    (["representable", "--space"], {"points": ["a", "b"], "d": [[0, True], [True, 0]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc", JSON_BOOLEANS, ids=["matrix-label", "tree-label", "entry", "int-row"]
+)
+def test_cli_json_booleans_are_a_named_error(workdir, capsys, argv, doc):
+    with open("doc.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, err = run_cli(capsys, argv + ["doc.json"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidDeclaration: bools are not accepted, got "), err
+
+
 def test_cli_env_cap_override(workdir, capsys, monkeypatch):
     monkeypatch.setenv("ULTRATREE_SIZE_CAP", "1000001")
     code, out, err = run_cli(

@@ -80,6 +80,20 @@ def test_all_pairs_matches_distance_matrix():
         assert all_pairs(build_index(t)).dist == distance_matrix(t).dist
 
 
+def test_all_pairs_agrees_with_index_queries():
+    rng = random.Random(66)
+    for _ in range(15):
+        t = random_tree(rng, rng.randrange(1, 25))
+        idx = build_index(t)
+        got = all_pairs(idx)
+        for i, u in enumerate(t.vertices):
+            for j, v in enumerate(t.vertices):
+                assert got.dist[i][j] == query(idx, u, v)
+        assert got.proper == all(
+            got.dist[i][j] > 0 for i in range(len(t)) for j in range(i)
+        )
+
+
 def test_all_pairs_cap():
     rng = random.Random(65)
     t = random_tree(rng, 12)

@@ -17,6 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_tree
+from ultratree.builders import fig10
 from ultratree.core_tree import build_tree, distance_matrix
 from ultratree.errors import (
     AsymmetricEntry,
@@ -27,7 +28,8 @@ from ultratree.errors import (
     NonzeroDiagonal,
     StrongTriangleViolation,
 )
-from ultratree.ratio import format_rational
+from ultratree.finite_space import conjecture_scan, enumerate_spaces
+from ultratree.ratio import format_rational, parse_rational
 from ultratree.spaces import (
     Hierarchy,
     UltraSpace,
@@ -36,6 +38,7 @@ from ultratree.spaces import (
     space_from_hierarchy,
     validate_space,
 )
+from ultratree.symbolic import count_vertices_geq, exceedance_bound
 from ultratree.treeio import space_from_json, space_to_json
 
 
@@ -161,6 +164,35 @@ def test_library_entry_points_refuse_floats():
         validate_space(["a", "b"], [[0, 0.1], [0.1, 0]])
 
 
+INEXACT = [(0.1, "floats are not accepted, got 0.1"),
+           (True, "bools are not accepted, got True"),
+           (False, "bools are not accepted, got False")]
+ENTRY_POINTS = [
+    ("parse_rational", lambda x: parse_rational(x)),
+    ("build_tree label", lambda x: build_tree(["a", "b"], [("a", "b")], {"a": x, "b": 1})),
+    ("validate_space entry", lambda x: validate_space(["a", "b"], [[0, x], [x, 0]])),
+    ("enumerate_spaces value", lambda x: enumerate_spaces(2, [1, x])),
+    ("conjecture_scan value", lambda x: conjecture_scan(2, [x])),
+    ("count_vertices_geq eps", lambda x: count_vertices_geq(fig10(), x)),
+    ("exceedance_bound eps", lambda x: exceedance_bound(fig10(), x)),
+]
+
+
+@pytest.mark.parametrize("value, message", INEXACT, ids=["float", "true", "false"])
+@pytest.mark.parametrize(
+    "call", [c for _, c in ENTRY_POINTS], ids=[name for name, _ in ENTRY_POINTS]
+)
+def test_library_entry_points_refuse_floats_and_bools(call, value, message):
+    with pytest.raises(InvalidDeclaration, match=f"^{message}$"):
+        call(value)
+
+
+def test_exact_eps_counts_differ_from_the_float_they_resemble():
+    # Fraction(0.1) is slightly above 1/10, and would miss three vertices
+    assert count_vertices_geq(fig10(), "1/10") == count_vertices_geq(fig10(), F(1, 10)) == 20
+    assert count_vertices_geq(fig10(), F(0.1)) == 17
+
+
 def test_mixed_entry_types_are_read_exactly():
     sp = validate_space(["a", "b", "c"], [
         ["0", 1, F(2)],
@@ -261,6 +293,26 @@ def test_canonical_hierarchy_agrees_with_recursive_oracle():
         assert got.leaves() == want.leaves()
         assert got.shape == want.shape and got.size() == len(space)
     assert pseudo > 100, pseudo
+
+
+def test_validated_space_keeps_its_nearest_earlier_point_edges():
+    """``validate_space`` keeps the edges ``canonical_hierarchy`` would
+    otherwise find again; the field changes no comparison, hash or repr,
+    and the dendrogram is the same with it and without it."""
+    rng = random.Random(1301)
+    for _ in range(300):
+        built = distance_matrix(random_tree(rng, rng.randint(1, 12)))
+        assert built.nearest is None
+        space = validate_space(built.points, built.dist)
+        scanned = []
+        for v in range(1, len(space)):
+            before = space.dist[v][:v]
+            scanned.append((min(before), v, before.index(min(before))))
+        assert space.nearest == tuple(scanned)
+        assert space == built and hash(space) == hash(built)
+        assert repr(space) == repr(built)
+        got, want = canonical_hierarchy(space), canonical_hierarchy(built)
+        assert got.encode() == want.encode() and got.leaves() == want.leaves()
 
 
 def test_isometric_maps_leaves_in_order():
