@@ -126,12 +126,6 @@ def _single(values, flag: str):
     return values[0]
 
 
-def _pair(values, flag: str):
-    if not values or len(values) != 2:
-        raise _UsageError(f"{flag} must be given exactly twice")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 

@@ -21,6 +21,15 @@ infinite labeling decidable.  A modulated sequence whose children are each
 zero everywhere or nowhere, all alike, is so itself and has profile (0, 1);
 otherwise every level multiplies its children's threshold and period.
 
+Counting the vertices of a glue family whose envelope does not vanish
+asks three more questions of a kind, along the member progression of
+indices start + k*step: ``class_limits`` splits it into residue classes
+of k and gives each class's limit, ``settle`` gives the k past which
+every class approaches its limit from above, and ``sup_factors(skip)``
+lists the parameter products whose max is the largest term off index
+``skip``.  A modulated sequence answers each by splitting the progression
+into one sub-progression per phase on its children.
+
 Parameters are rationals, or - inside a glue-family template - a
 :class:`Ref` to the member's site label or envelope value, with an optional
 rational coefficient.  Metadata methods demand a concrete (ref-free)
@@ -167,28 +176,19 @@ class LabelSeq:
     def has_zero_term(self) -> bool:
         return self.zero_in_progression(1, 1)
 
+    def _window_zeros(self, start: int, step: int):
+        """Zeroness of the terms at start, start+step, ... up to one full
+        residue cycle past the zero threshold: the certified window."""
+        _need_concrete(self)
+        n0, q = self.zero_profile()
+        return (self.is_zero(n) for n in range(start, n0 + step * q + step + 1, step))
+
     def zero_in_progression(self, start: int, step: int) -> bool:
         """Does any index start, start+step, ... carry a zero term?"""
-        _need_concrete(self)
-        n0, q = self.zero_profile()
-        limit = n0 + step * q + step  # covers one full residue cycle past n0
-        n = start
-        while n <= limit:
-            if self.is_zero(n):
-                return True
-            n += step
-        return False
+        return any(self._window_zeros(start, step))
 
     def all_zero_in_progression(self, start: int, step: int) -> bool:
-        _need_concrete(self)
-        n0, q = self.zero_profile()
-        limit = n0 + step * q + step
-        n = start
-        while n <= limit:
-            if not self.is_zero(n):
-                return False
-            n += step
-        return True
+        return all(self._window_zeros(start, step))
 
     def has_adjacent_zero_pair(self):
         """First n with term(n) = term(n+1) = 0, else None."""
@@ -238,6 +238,24 @@ class LabelSeq:
     def zero_profile(self) -> tuple[int, int]:
         raise NotImplementedError
 
+    # -- terms along a progression start + k*step, k = 0, 1, 2, ... ---------
+
+    def class_limits(self, start: int, step: int) -> tuple[int, list[Fraction]]:
+        """(Q, limits): limits[k % Q] is the limit of the terms at
+        start + k*step within that residue class of k.  A kind whose terms
+        tend to its limsup has one class."""
+        return 1, [self.limsup()]
+
+    def settle(self, start: int, step: int) -> int:
+        """First k past which every residue class of the terms at
+        start + k*step is non-increasing toward (or equal to) its limit."""
+        return 0
+
+    def sup_factors(self, skip: int | None) -> list[tuple]:
+        """Tuples of parameters (values or refs) whose products have as their
+        max the sup of term(n) over n != skip; each product is a term."""
+        raise NotImplementedError
+
     # -- refs, derived from the dataclass fields of each kind -----------------
 
     @cached_property
@@ -273,6 +291,13 @@ def _fmt_val(v) -> str:
             return f"${v.source}"
         return f"{format_rational(v.coeff)}*${v.source}"
     return format_rational(v)
+
+
+def _settle_past_prefix(self, start, step):
+    """The first k with start + k*step past the listed prefix (a ``settle``
+    shared by the kinds that list one)."""
+    spill = len(self.prefix) - start
+    return 0 if spill < 0 else spill // step + 1
 
 
 @dataclass(frozen=True)
@@ -312,6 +337,9 @@ class Const(LabelSeq):
 
     def zero_profile(self):
         return (0, 1)
+
+    def sup_factors(self, skip):
+        return [(self.c,)]
 
     def scale(self, factor):
         return Const(_scale_val(self.c, factor))
@@ -360,6 +388,12 @@ class FiniteSupport(LabelSeq):
 
     def zero_profile(self):
         return (len(self.prefix), 1)
+
+    settle = _settle_past_prefix
+
+    def sup_factors(self, skip):
+        rest = [x for i, x in enumerate(self.prefix, 1) if i != skip]
+        return [(max(rest, default=Fraction(0)),)]
 
     def scale(self, factor):
         if isinstance(factor, Ref):
@@ -414,6 +448,9 @@ class Harmonic(LabelSeq):
 
     def zero_profile(self):
         return (0, 1)  # all zero if a == 0, else never zero
+
+    def sup_factors(self, skip):
+        return [(self.a, Fraction(1, 2 if skip == 1 else 1))]
 
     def scale(self, factor):
         return Harmonic(_scale_val(self.a, factor))
@@ -479,6 +516,9 @@ class Geometric(LabelSeq):
 
     def zero_profile(self):
         return (0, 1)
+
+    def sup_factors(self, skip):
+        return [(self.a, self.r) if skip == 1 else (self.a,)]
 
     def scale(self, factor):
         return Geometric(_scale_val(self.a, factor), self.r)
@@ -567,6 +607,9 @@ class PrimeRecip(LabelSeq):
     def zero_profile(self):
         return (0, 1)
 
+    def sup_factors(self, skip):
+        return [(self.a, Fraction(1, nth_prime(2 if skip == 1 else 1)))]
+
     def scale(self, factor):
         return PrimeRecip(_scale_val(self.a, factor))
 
@@ -643,6 +686,35 @@ class Modulated(LabelSeq):
             return (0, 1)
         thresholds, periods = zip(*profiles)
         return (self.period * (max(thresholds) + 1), self.period * lcm(*periods))
+
+    def _phases(self, start: int, step: int) -> tuple[int, list]:
+        """(phases, parts): split the progression start + k*step by phase.
+        For k = j + phases*i (j < phases) the index is child s's index
+        start_j + i*step_j, where parts[j] = (s, start_j, step_j)."""
+        span = lcm(step, self.period)
+        firsts = (self._split(start + j * step) for j in range(span // step))
+        return span // step, [(self.seqs[c], i, span // self.period) for c, i in firsts]
+
+    def class_limits(self, start, step):
+        phases, parts = self._phases(start, step)
+        maps = [s.class_limits(*at) for s, *at in parts]
+        big = phases * lcm(*(q for q, _ in maps))
+        limits = []
+        for r in range(big):
+            q, child = maps[r % phases]
+            limits.append(child[(r // phases) % q])
+        return big, limits
+
+    def settle(self, start, step):
+        phases, parts = self._phases(start, step)
+        return max(j + phases * s.settle(*at) for j, (s, *at) in enumerate(parts))
+
+    def sup_factors(self, skip):
+        c_skip, j_skip = (None, None) if skip is None else self._split(skip)
+        return [
+            f for c, s in enumerate(self.seqs)
+            for f in s.sup_factors(j_skip if c == c_skip else None)
+        ]
 
     def scale(self, factor):
         return Modulated(self.period, tuple(s.scale(factor) for s in self.seqs))
@@ -728,6 +800,18 @@ class Custom(LabelSeq):
 
     def zero_profile(self):
         return (len(self.prefix), 2)
+
+    def class_limits(self, start, step):
+        # past the prefix, term n is limsup or liminf by the parity of
+        # n - len(prefix): an even step keeps one parity, an odd one both
+        q = 1 + step % 2
+        odd = ((start + k * step - len(self.prefix)) % 2 for k in range(q))
+        return q, [self.limsup_ if o else self.liminf_ for o in odd]
+
+    settle = _settle_past_prefix
+
+    def sup_factors(self, skip):
+        return [(self.limsup_,)]  # no prefix term exceeds it, and the tail repeats it
 
     def scale(self, factor):
         if isinstance(factor, Ref):

@@ -41,19 +41,13 @@ from .errors import (
 from .ratio import format_rational, parse_rational
 from .seqs import (
     INFINITE,
-    Const,
-    Custom,
-    FiniteSupport,
     Geometric,
-    Harmonic,
     LabelSeq,
     Modulated,
-    PrimeRecip,
     Ref,
     as_val,
     field_names,
     holds_refs,
-    nth_prime,
     resolve_val,
     val_is_concrete,
 )
@@ -885,17 +879,24 @@ def _piece(piece, budget: int, forced, scale) -> _Cut:
 # ---------------------------------------------------------------------------
 # symbolic vertex counting
 #
+# One walk, :func:`_exceed`, answers both questions about the vertices with
+# label >= eps: how many there are (``count_vertices_geq``) and a budget at
+# which ``truncate`` materializes each of them (``exceedance_bound``).  It
+# stops at the first part with infinitely many.
+#
 # Counting stays exact even when a family envelope does not vanish.  Every
 # sequence kind has fully determined terms, so the supremum of a member's
 # non-shared labels is a finite max of monomials
 #
 #     coeff * site_label(m)**site_pow * envelope(m)**env_pow,
 #
-# each attained by an actual vertex of the member.  Restricted to the member
-# progression, every built-in sequence settles into finitely many residue
-# classes whose values approach their limits from above, so a monomial with a
-# class-limit product >= eps is exceeded by infinitely many members, and
-# otherwise a bounded scan lists exactly the members that still reach eps.
+# each attained by an actual vertex of the member; every kind lists the
+# factors of its own (``LabelSeq.sup_factors``).  Restricted to the member
+# progression, every built-in sequence settles (``LabelSeq.settle``) into
+# finitely many residue classes whose values approach their limits
+# (``LabelSeq.class_limits``) from above, so a monomial with a class-limit
+# product >= eps is exceeded by infinitely many members, and otherwise a
+# bounded scan lists exactly the members that still reach eps.
 
 _LOOSE_SCAN_CAP = 1_000_000
 
@@ -911,49 +912,13 @@ def _mono_mul_val(mono, v):
 
 
 def _seq_sup_monos(seq, skip, mult, out):
-    """Append monomials whose max equals sup of seq.term(n) over n != skip.
-
-    Exact in both directions: the listed monomials dominate every non-skipped
-    term, and each listed value is realized by at least one actual term (for
-    constant values and alternating tails, by infinitely many).
-    """
-    if isinstance(seq, Const):
-        out.append(_mono_mul_val(mult, seq.c))
-    elif isinstance(seq, Harmonic):
-        c, sp, se = _mono_mul_val(mult, seq.a)
-        out.append((c / (2 if skip == 1 else 1), sp, se))
-    elif isinstance(seq, PrimeRecip):
-        c, sp, se = _mono_mul_val(mult, seq.a)
-        out.append((c / nth_prime(2 if skip == 1 else 1), sp, se))
-    elif isinstance(seq, Geometric):
-        mono = _mono_mul_val(mult, seq.a)
-        if skip == 1:
-            mono = _mono_mul_val(mono, seq.r)
+    """Append monomials whose max equals sup of seq.term(n) over n != skip,
+    each ``mult`` times one product of ``seq.sup_factors(skip)``."""
+    for factors in seq.sup_factors(skip):
+        mono = mult
+        for v in factors:
+            mono = _mono_mul_val(mono, v)
         out.append(mono)
-    elif isinstance(seq, FiniteSupport):
-        best = max(
-            (x for i, x in enumerate(seq.prefix, 1) if i != skip),
-            default=Fraction(0),
-        )
-        if best > 0:
-            out.append(_mono_mul_val(mult, best))
-    elif isinstance(seq, Custom):
-        best = max(
-            [x for i, x in enumerate(seq.prefix, 1) if i != skip]
-            + [seq.limsup_]
-        )
-        if best > 0:
-            out.append(_mono_mul_val(mult, best))
-    elif isinstance(seq, Modulated):
-        for i, comp in enumerate(seq.seqs):
-            inner_skip = None
-            if skip is not None and (skip - 1) % seq.period == i:
-                inner_skip = (skip - 1) // seq.period + 1
-            _seq_sup_monos(comp, inner_skip, mult, out)
-    else:
-        raise InvalidDeclaration(
-            f"cannot analyze sequence kind {type(seq).__name__}"
-        )
 
 
 def _template_unshared_monos(node, shared, mult, out):
@@ -1000,70 +965,6 @@ def _template_unshared_monos(node, shared, mult, out):
         raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
 
 
-def _class_limit_map(seq, start, step):
-    """(Q, limits) for seq.term(start + k*step), k = 0, 1, 2, ...
-
-    limits[k % Q] is the limit of the terms within that residue class of k;
-    past the settle bound every class approaches its limit from above (or
-    equals it).
-    """
-    if isinstance(seq, Const):
-        return 1, [Fraction(seq.c)]
-    if isinstance(seq, (Harmonic, Geometric, PrimeRecip, FiniteSupport)):
-        return 1, [Fraction(0)]
-    if isinstance(seq, Custom):
-        offset = start - len(seq.prefix)
-        if step % 2 == 0:
-            return 1, [seq.limsup_ if offset % 2 == 1 else seq.liminf_]
-        v0 = seq.limsup_ if offset % 2 == 1 else seq.liminf_
-        v1 = seq.limsup_ if (offset + step) % 2 == 1 else seq.liminf_
-        return 2, [v0, v1]
-    if isinstance(seq, Modulated):
-        p = seq.period
-        phases = lcm(step, p) // step
-        inner_step = lcm(step, p) // p
-        qs, ls = [], []
-        for j in range(phases):
-            n_j = start + j * step
-            comp = seq.seqs[(n_j - 1) % p]
-            q, l = _class_limit_map(comp, (n_j - 1) // p + 1, inner_step)
-            qs.append(q)
-            ls.append(l)
-        big = phases * lcm(*qs)
-        limits = []
-        for r in range(big):
-            j = r % phases
-            limits.append(ls[j][((r - j) // phases) % qs[j]])
-        return big, limits
-    raise InvalidDeclaration(
-        f"cannot analyze sequence kind {type(seq).__name__}"
-    )
-
-
-def _settle_bound(seq, start, step):
-    """First k past which every residue class of seq.term(start + k*step)
-    is non-increasing toward (or equal to) its class limit."""
-    if isinstance(seq, (Const, Harmonic, Geometric, PrimeRecip)):
-        return 0
-    if isinstance(seq, (FiniteSupport, Custom)):
-        spill = len(seq.prefix) - start
-        return 0 if spill < 0 else spill // step + 1
-    if isinstance(seq, Modulated):
-        p = seq.period
-        phases = lcm(step, p) // step
-        inner_step = lcm(step, p) // p
-        worst = 0
-        for j in range(phases):
-            n_j = start + j * step
-            comp = seq.seqs[(n_j - 1) % p]
-            inner = _settle_bound(comp, (n_j - 1) // p + 1, inner_step)
-            worst = max(worst, j + phases * inner)
-        return worst
-    raise InvalidDeclaration(
-        f"cannot analyze sequence kind {type(seq).__name__}"
-    )
-
-
 def _loose_family_hits(fam: GlueFamily, eps: Fraction):
     """Member indices whose non-shared labels reach eps, for a family whose
     envelope exceeds eps infinitely often.  Exact: a sorted list, or INFINITE
@@ -1080,13 +981,13 @@ def _loose_family_hits(fam: GlueFamily, eps: Fraction):
     settle = 0
     for c, sp, se in monos:
         if sp > 0:
-            qs, ls = _class_limit_map(base_seq, start, step)
-            settle = max(settle, _settle_bound(base_seq, start, step))
+            qs, ls = base_seq.class_limits(start, step)
+            settle = max(settle, base_seq.settle(start, step))
         else:
             qs, ls = 1, [Fraction(1)]
         if se > 0:
-            qe, le = _class_limit_map(fam.envelope, 1, 1)
-            settle = max(settle, _settle_bound(fam.envelope, 1, 1))
+            qe, le = fam.envelope.class_limits(1, 1)
+            settle = max(settle, fam.envelope.settle(1, 1))
         else:
             qe, le = 1, [Fraction(1)]
         q = lcm(qs, qe)
@@ -1115,95 +1016,64 @@ def _loose_family_hits(fam: GlueFamily, eps: Fraction):
     return hits
 
 
-def count_vertices_geq(node: SymbolicTree, eps: Fraction):
-    """|{v : label(v) >= eps}| as an exact integer or INFINITE.  ``eps``
-    is read by :func:`~ultratree.ratio.parse_rational`: a float or a bool
-    raises InvalidDeclaration."""
-    eps = parse_rational(eps)
-    if eps <= 0:
-        raise InvalidDeclaration(f"eps must be positive, got {eps}")
+def _exceed(node: SymbolicTree, eps: Fraction):
+    """(count, bound) of the vertices with label >= eps: their number, and a
+    budget b >= 1 at which truncate(node, b) materializes each of them; or
+    INFINITE, as soon as one part has infinitely many."""
+    if isinstance(node, ScaledLabels):
+        return _exceed(node.inner, eps / _concrete(node.factor, "scale factor"))
     if isinstance(node, Finite):
-        return sum(1 for x in node.tree.labels.values() if x >= eps)
-    if isinstance(node, Ray):
-        return node.labels.count_geq(eps)
-    if isinstance(node, Star):
-        extra = 1 if _concrete(node.center_label, "center label") >= eps else 0
-        leaves = node.leaf_labels.count_geq(eps)
-        return INFINITE if leaves is INFINITE else leaves + extra
+        return sum(x >= eps for x in node.tree.labels.values()), 1
+    if isinstance(node, PIECES):  # a ray or a star
+        star = isinstance(node, Star)
+        center = star and _concrete(node.center_label, "center label") >= eps
+        idx = (node.leaf_labels if star else node.labels).indices_geq(eps)
+        return INFINITE if idx is INFINITE else (len(idx) + center, max(idx, default=1))
+    found = _exceed(node.base, eps)
+    if found is INFINITE:
+        return INFINITE
+    count, bound = found
     if isinstance(node, GlueFinite):
-        total = count_vertices_geq(node.base, eps)
-        if total is INFINITE:
-            return INFINITE
-        for a in node.attachments:
-            sub = count_vertices_geq(a.part, eps)
-            if sub is INFINITE:
-                return INFINITE
-            total += sub
-            if label_at(a.part, a.shared) >= eps:
-                total -= 1  # shared vertex already counted in the base
-        return total
-    if isinstance(node, GlueFamily):
-        total = count_vertices_geq(node.base, eps)
-        if total is INFINITE:
-            return INFINITE
+        parts = ((a.part, a.shared, ()) for a in node.attachments)
+    else:
         idx = node.envelope.indices_geq(eps)
         if idx is INFINITE:
             idx = _loose_family_hits(node, eps)
             if idx is INFINITE:
                 return INFINITE
-        for m in idx:
-            member = instantiate(node, m)
-            sub = count_vertices_geq(member, eps)
-            if sub is INFINITE:
-                return INFINITE
-            total += sub
-            if label_at(member, node.shared) >= eps:
-                total -= 1
-        return total
-    if isinstance(node, ScaledLabels):
-        return count_vertices_geq(node.inner, eps / _concrete(node.factor, "scale factor"))
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+        # a member's budget also covers its index and its site on the base
+        parts = (
+            (instantiate(node, m), node.shared, (m, site_base_step(node, m)[1]))
+            for m in idx
+        )
+    for part, shared, more in parts:
+        found = _exceed(part, eps)
+        if found is INFINITE:
+            return INFINITE
+        # the shared vertex is already counted in the base
+        count += found[0] - (label_at(part, shared) >= eps)
+        bound = max(bound, found[1], *more)
+    return count, bound
+
+
+def _positive(eps) -> Fraction:
+    eps = parse_rational(eps)
+    if eps <= 0:
+        raise InvalidDeclaration(f"eps must be positive, got {eps}")
+    return eps
+
+
+def count_vertices_geq(node: SymbolicTree, eps: Fraction):
+    """|{v : label(v) >= eps}| as an exact integer or INFINITE.  ``eps``
+    is read by :func:`~ultratree.ratio.parse_rational`: a float or a bool
+    raises InvalidDeclaration."""
+    found = _exceed(node, _positive(eps))
+    return found if found is INFINITE else found[0]
 
 
 def exceedance_bound(node: SymbolicTree, eps: Fraction):
     """A budget b such that truncate(node, b) materializes every vertex with
     label >= eps; INFINITE when count_vertices_geq is infinite.  ``eps``
     is read as in :func:`count_vertices_geq`."""
-    eps = parse_rational(eps)
-    if eps <= 0:
-        raise InvalidDeclaration(f"eps must be positive, got {eps}")
-    if isinstance(node, Finite):
-        return 1
-    if isinstance(node, (Ray, Star)):
-        seq = node.labels if isinstance(node, Ray) else node.leaf_labels
-        idx = seq.indices_geq(eps)
-        if idx is INFINITE:
-            return INFINITE
-        return max(idx, default=1)
-    if isinstance(node, GlueFinite):
-        bounds = [exceedance_bound(node.base, eps)]
-        for a in node.attachments:
-            bounds.append(exceedance_bound(a.part, eps))
-        if any(b is INFINITE for b in bounds):
-            return INFINITE
-        return max(bounds + [1])
-    if isinstance(node, GlueFamily):
-        bounds = [exceedance_bound(node.base, eps)]
-        idx = node.envelope.indices_geq(eps)
-        if idx is INFINITE:
-            idx = _loose_family_hits(node, eps)
-            if idx is INFINITE:
-                return INFINITE
-        for m in idx:
-            mb = exceedance_bound(instantiate(node, m), eps)
-            if mb is INFINITE:
-                return INFINITE
-            bounds.append(mb)
-            bounds.append(m)
-            bounds.append(site_base_step(node, m)[1])
-        if any(b is INFINITE for b in bounds):
-            return INFINITE
-        return max(bounds + [1])
-    if isinstance(node, ScaledLabels):
-        return exceedance_bound(node.inner, eps / _concrete(node.factor, "scale factor"))
-    raise InvalidDeclaration(f"unknown constructor {type(node).__name__}")
+    found = _exceed(node, _positive(eps))
+    return found if found is INFINITE else found[1]

@@ -20,6 +20,7 @@ from ultratree.seqs import (
     Ref,
     is_cauchy_ray,
     nth_prime,
+    resolve_val,
     seq_stats,
 )
 
@@ -298,6 +299,78 @@ def test_zero_questions_match_brute_force_on_nested_sequences():
         first = next((n for n in range(1, n0 + 2 * q + 2) if zero[n] and zero[n + 1]), None)
         assert seq.has_adjacent_zero_pair() == first
     assert shortcut > 20
+
+
+_TERMS = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2))
+_BINDINGS = {"site_label": F(1, 2), "envelope": F(1, 3)}
+
+
+def _random_kind(rng, depth, refs=False):
+    """A sequence of any kind with ``modulated`` nested up to ``depth``
+    levels; with ``refs`` a parameter that may be a ref sometimes is one,
+    in (0, 1) once bound by ``_BINDINGS``."""
+    def ref():
+        return Ref(rng.choice(("site_label", "envelope")), rng.choice((F(1), F(1, 2))))
+
+    def val():
+        return ref() if refs and rng.random() < 0.4 else rng.choice(_TERMS)
+
+    def prefix():
+        return tuple(rng.choice(_TERMS) for _ in range(rng.randint(0, 4)))
+
+    kinds = ["const", "finite_support", "harmonic", "geometric", "prime_recip", "custom"]
+    kind = rng.choice(kinds + ["modulated"] * 3 * (depth > 0))
+    if kind == "modulated":
+        period = rng.randint(1, 3)
+        return Modulated(period, tuple(_random_kind(rng, depth - 1, refs) for _ in range(period)))
+    if kind == "custom":
+        terms, liminf = prefix(), rng.choice(_TERMS)
+        limsup = max((*terms, liminf, rng.choice(_TERMS)))
+        return Custom(terms, limsup, liminf, min((*terms, liminf)), limsup == 0)
+    if kind == "geometric":
+        ratio = ref() if refs and rng.random() < 0.4 else rng.choice((F(1, 2), F(2, 3)))
+        return Geometric(val(), ratio)
+    if kind == "finite_support":
+        return FiniteSupport(prefix())
+    return {"const": Const, "harmonic": Harmonic, "prime_recip": PrimeRecip}[kind](val())
+
+
+def test_progression_rules_match_brute_force_terms():
+    """``class_limits`` and ``settle`` on seeded nestings of every kind, for
+    each start 1..6 and step 1..4: past ``settle`` each residue class of the
+    terms at start + k*step is non-increasing, at or above its limit, and
+    within 1/100 of it some 2000 steps out."""
+    rng = random.Random(1618)
+    classes = 0
+    for _ in range(150):
+        seq = _random_kind(rng, 2)
+        for start in range(1, 7):
+            for step in range(1, 5):
+                q, limits = seq.class_limits(start, step)
+                settle = seq.settle(start, step)
+                assert len(limits) == q
+                for r, limit in enumerate(limits):
+                    first = settle + (r - settle) % q  # the first k >= settle in class r
+                    near = [seq.term(start + k * step) for k in range(first, first + 8 * q, q)]
+                    assert all(a >= b >= limit for a, b in zip(near, near[1:])), (seq, start, step, r)
+                    far = seq.term(start + (first + q * (2000 // q)) * step)
+                    assert limit <= far < limit + F(1, 100), (seq, start, step, r)
+                classes += q
+    print(f"progression rules: {classes} residue classes checked")
+
+
+def test_sup_factors_match_the_largest_term():
+    """The largest product of ``sup_factors(skip)``, refs bound, is the
+    largest term at an index other than ``skip``, on seeded nestings with
+    refs.  Every kind's largest term sits within the first 120 indices."""
+    rng = random.Random(1619)
+    for _ in range(300):
+        seq = _random_kind(rng, 2, refs=True)
+        terms = [None, *seq.substitute(_BINDINGS).terms(120)]
+        for skip in (None, *range(1, 9)):
+            products = [math.prod(resolve_val(f, _BINDINGS) for f in factors)
+                        for factors in seq.sup_factors(skip)]
+            assert max(products) == max(t for n, t in enumerate(terms) if n and n != skip), (seq, skip)
 
 
 def test_zero_profile_with_refs_keeps_the_loose_certificate():

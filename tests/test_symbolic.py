@@ -927,6 +927,40 @@ def test_count_random_families_match_truncation():
                 assert got == brute_count(fam, eps, max(bound, 4) + 6)
 
 
+def _answer(f, *args):
+    try:
+        return f(*args)
+    except UltraTreeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_count_and_bound_agree_on_random_documents():
+    """Seeded valid documents: both answers are INFINITE, both refuse alike,
+    or the truncation at the bound holds exactly ``count`` labels >= eps
+    (regression: the bound refused a family under a loose envelope after an
+    infinite base, where the count had stopped with INFINITE)."""
+    star = Star(Ref("site_label"), Harmonic(1))  # a ref outside any template
+    assert _answer(exceedance_bound, star, F(1, 2)) == _answer(count_vertices_geq, star, F(1, 2))
+    rng = random.Random(37)
+    finite = infinite = refused = 0
+    for _ in range(600):
+        node = _random_node(rng, 3)
+        if isinstance(_answer(validate_symbolic, node), tuple):
+            continue
+        for eps in (F(1, 2), F(1, 7), F(1, 50)):
+            count = _answer(count_vertices_geq, node, eps)
+            bound = _answer(exceedance_bound, node, eps)
+            if count is INFINITE or isinstance(count, tuple):
+                assert bound == count, (symbolic_to_json(node), eps)
+                infinite += count is INFINITE
+                refused += count is not INFINITE
+            else:
+                assert brute_count(node, eps, bound) == count, (symbolic_to_json(node), eps)
+                finite += 1
+    print(f"count and bound: {finite} finite, {infinite} infinite, {refused} refused")
+    assert finite > 300 and infinite > 300
+
+
 # ---------------------------------------------------------------------------
 # classification
 
