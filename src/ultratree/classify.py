@@ -169,11 +169,6 @@ def _raise_degenerate(ps) -> None:
             )
 
 
-def check_non_degenerate(node: SymbolicTree, prefix: Address = ()) -> None:
-    """Raise DegenerateLabeling if some edge has both endpoint labels zero."""
-    _raise_degenerate(pieces(node, prefix=prefix))
-
-
 # ---------------------------------------------------------------------------
 # completeness: rays with vanishing limsup
 
@@ -333,6 +328,17 @@ def _center_records(node: SymbolicTree, ps, member) -> list[_CenterRecord]:
     return out
 
 
+def _prepare(node: SymbolicTree) -> tuple[list, list[_CenterRecord]]:
+    """Validate ``node``, refuse a degenerate labeling, and return the piece
+    list and the star-center records that ``classify`` and
+    ``isolated_points`` read."""
+    validate_symbolic(node)
+    member = _member_memo()
+    ps = _concrete_pieces(node, member)
+    _raise_degenerate(ps)
+    return ps, _center_records(node, ps, member)
+
+
 def _is_accumulation(rec: _CenterRecord) -> bool:
     if rec.label != 0:
         return False
@@ -362,15 +368,11 @@ def _accumulation_witness(records) -> Witness | None:
 
 def classify(node: SymbolicTree) -> Verdict:
     """Decide the four topological properties with witnesses."""
-    validate_symbolic(node)
-    member = _member_memo()
-    ps = _concrete_pieces(node, member)
-    _raise_degenerate(ps)
-
+    ps, records = _prepare(node)
     complete_w = _vanishing_ray(ps)
     vanish_w = _nonvanishing_seq(ps)
     posinf_w = _positive_infinite_degree(ps)
-    acc_w = _accumulation_witness(_center_records(node, ps, member))
+    acc_w = _accumulation_witness(records)
 
     rayless = not contains_kind(node, Ray)
     locally_finite = not contains_kind(node, Star)
@@ -568,11 +570,7 @@ def free_predicates(node: SymbolicTree) -> FreeTreeReport:
     """Structural facts about the unlabeled tree underneath the labeling."""
     rayless = not contains_kind(node, Ray)
     locally_finite = not contains_kind(node, Star)
-    finite = not (
-        contains_kind(node, Ray)
-        or contains_kind(node, Star)
-        or contains_kind(node, GlueFamily)
-    )
+    finite = rayless and locally_finite and not contains_kind(node, GlueFamily)
     pair = _adjacent_inf_pair(node, ())
     return FreeTreeReport(
         rayless=rayless,
@@ -595,11 +593,7 @@ def isolated_points(node: SymbolicTree) -> IsolatedPointsReport:
     each such vertex is reported with sample neighbors of positive vanishing
     label (which are themselves isolated).  Everything else is isolated.
     """
-    validate_symbolic(node)
-    member = _member_memo()
-    ps = _concrete_pieces(node, member)
-    _raise_degenerate(ps)
-    records = _center_records(node, ps, member)
+    _, records = _prepare(node)
 
     classes: list[VertexClass] = []
     seen_groups: dict[str, list[_CenterRecord]] = {}

@@ -487,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     except UltraTreeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

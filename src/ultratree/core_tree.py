@@ -172,8 +172,8 @@ def _freeze(vertices, edges, labels) -> LabeledTree:
     nonnegative ``Fraction``: ``restrict`` (an induced connected subgraph
     of a tree), ``finite_space._witness`` (one edge per dendrogram child),
     ``symbolic.truncate`` (pieces joined at one vertex per gluing) and the
-    two relabelings in :mod:`ultratree.witness` (a valid tree's vertices
-    and edges with new positive or zero labels).  The tests pass each
+    relabeling in :mod:`ultratree.witness` (a valid tree's vertices and
+    edges with new positive or zero labels).  The tests pass each
     producer's output through :func:`build_tree` and compare.
     """
     return LabeledTree(

@@ -143,14 +143,6 @@ def _need_concrete(seq: "LabelSeq"):
         )
 
 
-@dataclass(frozen=True)
-class SeqStats:
-    limsup: Fraction
-    liminf: Fraction
-    inf: Fraction
-    vanishes: bool
-
-
 class LabelSeq:
     """Base class; see module docstring for the contract."""
 
@@ -161,14 +153,6 @@ class LabelSeq:
     def count_geq(self, eps: Fraction):
         idx = self.indices_geq(eps)
         return idx if idx is INFINITE else len(idx)
-
-    def stats(self) -> SeqStats:
-        return SeqStats(
-            limsup=self.limsup(),
-            liminf=self.liminf(),
-            inf=self.inf(),
-            vanishes=self.vanishes(),
-        )
 
     def is_zero(self, n: int) -> bool:
         return self.term(n) == 0
@@ -840,13 +824,3 @@ SEQ_KINDS = {
     "custom": Custom,
     "prime_recip": PrimeRecip,
 }
-
-
-def seq_stats(seq: LabelSeq) -> SeqStats:
-    return seq.stats()
-
-
-def is_cauchy_ray(seq: LabelSeq) -> bool:
-    """A ray's vertex sequence is Cauchy in the generated metric iff its
-    labels vanish."""
-    return seq.vanishes()

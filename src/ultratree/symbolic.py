@@ -152,8 +152,12 @@ class GlueFinite(SymbolicTree):
         object.__setattr__(self, "attachments", tuple(self.attachments))
 
 
-RAY_SELECTORS = ("all", "even", "odd")
-STAR_SELECTORS = ("leaves",)
+# base kind -> site selector -> (start, step): member m of a family is glued
+# at base index start + (m - 1) * step
+SITE_SELECTORS = {
+    "ray": {"all": (1, 1), "even": (2, 2), "odd": (1, 2)},
+    "star": {"leaves": (1, 1)},
+}
 
 
 @dataclass(frozen=True)
@@ -167,18 +171,12 @@ class GlueFamily(SymbolicTree):
     kind = "glue_family"
 
     def __post_init__(self):
-        if isinstance(self.base, Ray):
-            if self.sites not in RAY_SELECTORS:
-                raise InvalidDeclaration(
-                    f"site selector {self.sites!r} invalid for a ray base"
-                )
-        elif isinstance(self.base, Star):
-            if self.sites not in STAR_SELECTORS:
-                raise InvalidDeclaration(
-                    f"site selector {self.sites!r} invalid for a star base"
-                )
-        else:
+        if not isinstance(self.base, (Ray, Star)):
             raise InvalidDeclaration("glue_family base must be a ray or a star")
+        if self.sites not in SITE_SELECTORS[self.base.kind]:
+            raise InvalidDeclaration(
+                f"site selector {self.sites!r} invalid for a {self.base.kind} base"
+            )
 
 
 @dataclass(frozen=True)
@@ -219,13 +217,10 @@ def default_shared(node: SymbolicTree) -> Address:
 # sites
 
 
-_SITE_PROGRESSIONS = {"leaves": (1, 1), "all": (1, 1), "even": (2, 2), "odd": (1, 2)}
-
-
 def _site_progression(fam: GlueFamily) -> tuple[str, LabelSeq, int, int]:
     """(step kind, base label sequence, start, step): member m is glued at
     base index start + (m - 1) * step."""
-    start, step = _SITE_PROGRESSIONS[fam.sites]
+    start, step = SITE_SELECTORS[fam.base.kind][fam.sites]
     if isinstance(fam.base, Star):
         return "leaf", fam.base.leaf_labels, start, step
     return "ray", fam.base.labels, start, step

@@ -601,6 +601,24 @@ def test_cli_domain_and_io_errors_exit_1(workdir, capsys):
     )
 
 
+
+def test_cli_unreadable_files_exit_1_without_a_traceback(workdir, capsys):
+    """A directory where a file is read or written, or a file that is not
+    UTF-8, is an ``error:`` line and exit code 1."""
+    (workdir / "adir").mkdir()
+    (workdir / "latin1.json").write_bytes(b'{"vertices": {"\xe9": "1"}}')
+    cases = [
+        ["validate", "--tree", "adir"],
+        ["validate", "--tree", "latin1.json"],
+        ["matrix", "--tree", "star.json", "--out", "adir"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err, argv
+
+
 RAY = {"kind": "ray", "labels": {"kind": "const", "c": "1"}}
 MALFORMED_SYMBOLIC = [
     ({"kind": "ray"}, "ray JSON needs the field 'labels'"),

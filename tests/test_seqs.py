@@ -18,10 +18,8 @@ from ultratree.seqs import (
     Modulated,
     PrimeRecip,
     Ref,
-    is_cauchy_ray,
     nth_prime,
     resolve_val,
-    seq_stats,
 )
 
 F = Fraction
@@ -39,11 +37,10 @@ def test_const_metadata():
     assert not s.vanishes()
     assert s.indices_geq(F(1)) is INFINITE
     assert s.indices_geq(F(2)) == []
-    assert not is_cauchy_ray(s)
 
 
 def test_const_zero_is_cauchy():
-    assert is_cauchy_ray(Const(0))
+    assert Const(0).vanishes()
 
 
 def test_harmonic_metadata():
@@ -155,11 +152,11 @@ def test_scaled_custom_and_modulated():
 
 
 def test_stats_bundle():
-    st = seq_stats(Modulated(2, (Harmonic(1), Const("1/3"))))
-    assert st.limsup == F(1, 3)
-    assert st.liminf == 0
-    assert st.inf == 0
-    assert not st.vanishes
+    s = Modulated(2, (Harmonic(1), Const("1/3")))
+    assert s.limsup() == F(1, 3)
+    assert s.liminf() == 0
+    assert s.inf() == 0
+    assert not s.vanishes()
 
 
 def test_count_geq_oracle_random():

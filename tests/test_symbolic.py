@@ -11,7 +11,6 @@ import pytest
 
 from ultratree.builders import fig1, fig10
 from ultratree.classify import (
-    check_non_degenerate,
     classify,
     free_predicates,
     isolated_points,
@@ -168,9 +167,9 @@ def test_degenerate_labeling_detected():
         " (consecutive ray labels are both zero)"
     )
     with pytest.raises(DegenerateLabeling):
-        check_non_degenerate(Ray(Const(0)))
+        classify(Ray(Const(0)))
     # an isolated zero is fine: 1, 0, 1, 0, ... is non-degenerate
-    check_non_degenerate(Ray(Modulated(2, (Const(1), Const(0)))))
+    classify(Ray(Modulated(2, (Const(1), Const(0)))))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +488,7 @@ def test_freeze_matches_build_tree_for_every_producer(freezes):
                 pass
     producers = {caller for caller, _, _ in freezes}
     assert producers >= {
-        "restrict", "_witness", "truncate", "_relabel_positive", "_compact_relabel",
+        "restrict", "_witness", "truncate", "_relabel",
     }
     for caller, (vertices, edges, labels), tree in list(freezes):
         assert list(tree.labels) == vertices, caller
@@ -1216,3 +1215,34 @@ def test_compact_witness_finite_tree():
     t = build_tree(["a", "b", "c"], [("a", "b"), ("b", "c")],
                    {"a": F(1), "b": F(0), "c": F(2)})
     assert compact_labeling_witness(Finite(t)).verdict.compact
+
+
+def test_witness_labelings_meet_their_goal_on_random_documents():
+    """On seeded valid documents, a granted witness labeling meets its goal
+    under ``classify`` and keeps the free tree: its truncations have the
+    input's vertices and edges.  Every refusal is a ``PreconditionFailed``."""
+    rng = random.Random(17)
+    granted = refused = 0
+    for _ in range(500):
+        node = _random_node(rng, 3)
+        try:
+            validate_symbolic(node)
+        except UltraTreeError:
+            continue
+        for make, goal in ((compact_labeling_witness, "compact"),
+                           (discrete_tb_labeling_witness, "discrete_and_tb")):
+            try:
+                w = make(node)
+            except PreconditionFailed:
+                refused += 1
+                continue
+            granted += 1
+            assert getattr(w.verdict, goal), symbolic_to_json(node)
+            assert classify(w.tree) == w.verdict
+            for budget in range(1, 6):
+                want, _ = truncate(node, budget)
+                got, _ = truncate(w.tree, budget)
+                assert (got.vertices, got.edges) == (want.vertices, want.edges), (
+                    symbolic_to_json(node), budget,
+                )
+    assert granted > 150 and refused > 100, (granted, refused)
