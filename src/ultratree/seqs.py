@@ -6,12 +6,23 @@ with exact rational arithmetic: the n-th term, limsup / liminf / inf / sup,
 whether the sequence vanishes (tends to 0), and which indices carry a term
 >= eps (a finite list or the answer "infinitely many").  ``terms(stop)``
 gives the first ``stop`` terms at once, equal to ``term`` called for each
-index and raising where it would: a geometric sequence keeps a running
-product, a modulated one fills each child's slots from the child's own
-batch, and a harmonic or prime-reciprocal one with a = p/q builds each term
-directly as ``Fraction(p, q * n)`` (n the index or the n-th prime), which
-costs one normalisation instead of a division.  ``scale(f)`` multiplies the
+index and raising where it would.  ``scale(f)`` multiplies the
 parameters, so its terms are f times the terms, at no cost per term.
+
+The kinds form three families, and each states a statistic once.
+``const``, ``finite_support`` and ``custom`` list a prefix, then repeat a
+cycle forever ((c), (0) and (limsup, liminf)); their base derives from the
+two tuples the terms, limsup and liminf (the cycle's max and min), inf and
+sup (over both), ``indices_geq``, the zero profile (len(prefix),
+len(cycle)) and the progression rules below.  ``harmonic``, ``geometric``
+and ``prime_recip`` are a times a positive profile decreasing to 0; their
+base gives limsup = liminf = inf = 0, sup = term(1), the zero profile
+(0, 1) and ``indices_geq`` from a count of the leading terms >= eps.
+Harmonic and prime-reciprocal terms with a = p/q are ``Fraction(p, q * d)``
+for d the index or the n-th prime: one normalisation, no division.  A
+geometric batch keeps a running product.  ``modulated`` interleaves child
+sequences of any kind, answers from its children, and fills each child's
+batch slots from the child's own batch.
 
 Zeroness of every kind is eventually periodic, and ``zero_profile`` returns
 a (threshold, period) certificate; existential or universal questions about
@@ -41,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from .errors import InvalidDeclaration
 from .ratio import format_rational, parse_rational
@@ -74,7 +85,7 @@ class Ref:
     def __post_init__(self):
         if self.source not in REF_SOURCES:
             raise InvalidDeclaration(f"unknown ref source {self.source!r}")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", parse_rational(self.coeff))
         if self.coeff < 0:
             raise InvalidDeclaration(f"negative ref coefficient {self.coeff}")
 
@@ -277,53 +288,87 @@ def _fmt_val(v) -> str:
     return format_rational(v)
 
 
-def _settle_past_prefix(self, start, step):
-    """The first k with start + k*step past the listed prefix (a ``settle``
-    shared by the kinds that list one)."""
-    spill = len(self.prefix) - start
-    return 0 if spill < 0 else spill // step + 1
+class _PrefixCycle(LabelSeq):
+    """A listed ``prefix``, then the terms of ``_cycle`` repeated forever.
+    The limits are the cycle's extremes, the bounds those of prefix and
+    cycle together, and past the prefix the terms at start + k*step run
+    through the cycle with a period in k."""
+
+    def term(self, n):
+        if n < 1:
+            raise InvalidDeclaration(f"index {n} out of range")
+        _need_concrete(self)
+        past = n - len(self.prefix)
+        if past <= 0:
+            return self.prefix[n - 1]
+        return self._cycle[(past - 1) % len(self._cycle)]
+
+    def _batch(self, stop):
+        laps, part = divmod(max(stop - len(self.prefix), 0), len(self._cycle))
+        return [*self.prefix[:stop], *self._cycle * laps, *self._cycle[:part]]
+
+    def limsup(self):
+        _need_concrete(self)
+        return max(self._cycle)
+
+    def liminf(self):
+        _need_concrete(self)
+        return min(self._cycle)
+
+    def inf(self):
+        _need_concrete(self)
+        return min(self.prefix + self._cycle)
+
+    def sup(self):
+        _need_concrete(self)
+        return max(self.prefix + self._cycle)
+
+    def indices_geq(self, eps):
+        _need_concrete(self)
+        _check_eps(eps)
+        if max(self._cycle) >= eps:
+            return INFINITE
+        return [i for i, x in enumerate(self.prefix, 1) if x >= eps]
+
+    def zero_profile(self):
+        return (len(self.prefix), len(self._cycle))
+
+    def class_limits(self, start, step):
+        _need_concrete(self)
+        size = len(self._cycle)
+        first = start - len(self.prefix) - 1  # the cycle position of k = 0
+        q = size // gcd(size, step)
+        return q, [self._cycle[(first + k * step) % size] for k in range(q)]
+
+    def settle(self, start, step):
+        spill = len(self.prefix) - start  # the first k past the prefix
+        return 0 if spill < 0 else spill // step + 1
+
+    def sup_factors(self, skip):
+        rest = [x for i, x in enumerate(self.prefix, 1) if i != skip]
+        return [(max(rest + list(self._cycle)),)]  # a cycle term recurs past any skip
 
 
 @dataclass(frozen=True)
-class Const(LabelSeq):
+class Const(_PrefixCycle):
     """c, c, c, ..."""
 
     c: Fraction | Ref
 
     kind = "const"
+    prefix = ()
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_val(self.c))
         if val_is_concrete(self.c) and self.c < 0:
             raise InvalidDeclaration(f"negative constant {self.c}")
 
-    def term(self, n):
-        if n < 1:
-            raise InvalidDeclaration(f"index {n} out of range")
-        _need_concrete(self)
-        return self.c
+    @cached_property
+    def _cycle(self):
+        return (self.c,)
 
-    def _batch(self, stop):
-        return [self.c] * stop
-
-    def limsup(self):
-        _need_concrete(self)
-        return self.c
-
-    liminf = limsup
-    inf = limsup
-    sup = limsup
-
-    def indices_geq(self, eps):
-        _need_concrete(self)
-        _check_eps(eps)
-        return INFINITE if self.c >= eps else []
-
-    def zero_profile(self):
-        return (0, 1)
-
-    def sup_factors(self, skip):
-        return [(self.c,)]
+    def term(self, n):  # the hot case in one step; the base raises the errors
+        return self.c if n >= 1 and not self._refs else super().term(n)
 
     def scale(self, factor):
         return Const(_scale_val(self.c, factor))
@@ -333,12 +378,13 @@ class Const(LabelSeq):
 
 
 @dataclass(frozen=True)
-class FiniteSupport(LabelSeq):
+class FiniteSupport(_PrefixCycle):
     """Explicit prefix, then all zeros."""
 
     prefix: tuple[Fraction, ...]
 
     kind = "finite_support"
+    _cycle = (Fraction(0),)
 
     def __post_init__(self):
         vals = tuple(parse_rational(x) for x in self.prefix)
@@ -346,38 +392,6 @@ class FiniteSupport(LabelSeq):
             if x < 0:
                 raise InvalidDeclaration(f"negative term {x}")
         object.__setattr__(self, "prefix", vals)
-
-    def term(self, n):
-        if n < 1:
-            raise InvalidDeclaration(f"index {n} out of range")
-        return self.prefix[n - 1] if n <= len(self.prefix) else Fraction(0)
-
-    def _batch(self, stop):
-        return list(self.prefix[:stop]) + [Fraction(0)] * (stop - len(self.prefix))
-
-    def limsup(self):
-        return Fraction(0)
-
-    liminf = limsup
-
-    def inf(self):
-        return Fraction(0)
-
-    def sup(self):
-        return max(self.prefix, default=Fraction(0))
-
-    def indices_geq(self, eps):
-        _check_eps(eps)
-        return [i + 1 for i, x in enumerate(self.prefix) if x >= eps]
-
-    def zero_profile(self):
-        return (len(self.prefix), 1)
-
-    settle = _settle_past_prefix
-
-    def sup_factors(self, skip):
-        rest = [x for i, x in enumerate(self.prefix, 1) if i != skip]
-        return [(max(rest, default=Fraction(0)),)]
 
     def scale(self, factor):
         if isinstance(factor, Ref):
@@ -389,35 +403,89 @@ class FiniteSupport(LabelSeq):
 
 
 @dataclass(frozen=True)
-class Harmonic(LabelSeq):
-    """a/1, a/2, a/3, ..."""
+class Custom(_PrefixCycle):
+    """Explicit prefix plus declared asymptotics.
 
-    a: Fraction | Ref
+    Beyond the prefix the sequence is materialized canonically as the
+    alternation limsup, liminf, limsup, ...; validation guarantees the
+    declared stats are exactly the stats of the materialized sequence:
+    prefix terms must not exceed limsup, inf must equal
+    min(min(prefix), liminf), and vanishes must equal (limsup == 0).
+    """
 
-    kind = "harmonic"
+    prefix: tuple[Fraction, ...]
+    limsup_: Fraction
+    liminf_: Fraction
+    inf_: Fraction
+    vanishes_: bool
+
+    kind = "custom"
+
+    def __post_init__(self):
+        vals = tuple(parse_rational(x) for x in self.prefix)
+        object.__setattr__(self, "prefix", vals)
+        object.__setattr__(self, "limsup_", parse_rational(self.limsup_))
+        object.__setattr__(self, "liminf_", parse_rational(self.liminf_))
+        object.__setattr__(self, "inf_", parse_rational(self.inf_))
+        for x in vals:
+            if x < 0:
+                raise InvalidDeclaration(f"negative term {x}")
+            if x > self.limsup_:
+                raise InvalidDeclaration(
+                    f"prefix term {x} exceeds declared limsup {self.limsup_}"
+                )
+        if not (0 <= self.liminf_ <= self.limsup_):
+            raise InvalidDeclaration(
+                f"need 0 <= liminf <= limsup, got {self.liminf_}, {self.limsup_}"
+            )
+        expect_inf = min(vals) if vals else self.liminf_
+        expect_inf = min(expect_inf, self.liminf_)
+        if self.inf_ != expect_inf:
+            raise InvalidDeclaration(
+                f"declared inf {self.inf_} differs from materialized inf {expect_inf}"
+            )
+        if self.vanishes_ != (self.limsup_ == 0):
+            raise InvalidDeclaration(
+                "declared vanishes flag contradicts declared limsup"
+            )
+
+    @cached_property
+    def _cycle(self):
+        return (self.limsup_, self.liminf_)
+
+    def scale(self, factor):
+        if isinstance(factor, Ref):
+            raise InvalidDeclaration("custom sequences cannot carry refs")
+        return Custom(
+            tuple(x * factor for x in self.prefix),
+            self.limsup_ * factor,
+            self.liminf_ * factor,
+            self.inf_ * factor,
+            self.vanishes_,
+        )
+
+    def describe(self):
+        return (
+            f"custom(prefix={list(map(format_rational, self.prefix))}, "
+            f"limsup={format_rational(self.limsup_)}, liminf={format_rational(self.liminf_)})"
+        )
+
+
+class _Vanishing(LabelSeq):
+    """a times a positive profile that decreases to 0 from 1: the limits
+    and the inf are 0, the sup is term(1) = a, and the terms are zero
+    everywhere (a = 0) or nowhere.  ``_count_geq(eps)`` counts the leading
+    terms >= eps."""
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_val(self.a))
         if val_is_concrete(self.a) and self.a < 0:
             raise InvalidDeclaration(f"negative coefficient {self.a}")
 
-    def term(self, n):
-        if n < 1:
-            raise InvalidDeclaration(f"index {n} out of range")
-        _need_concrete(self)
-        return self.a / n
-
-    def _batch(self, stop):
-        p, q = self.a.numerator, self.a.denominator
-        return [Fraction(p, q * n) for n in range(1, stop + 1)]
-
     def limsup(self):
         return Fraction(0)
 
-    liminf = limsup
-
-    def inf(self):
-        return Fraction(0)
+    liminf = inf = limsup
 
     def sup(self):
         _need_concrete(self)
@@ -426,25 +494,57 @@ class Harmonic(LabelSeq):
     def indices_geq(self, eps):
         _need_concrete(self)
         _check_eps(eps)
-        if self.a == 0:
-            return []
-        return list(range(1, floor(self.a / eps) + 1))
+        return list(range(1, self._count_geq(eps) + 1))
 
     def zero_profile(self):
-        return (0, 1)  # all zero if a == 0, else never zero
+        return (0, 1)
+
+
+class _Reciprocal(_Vanishing):
+    """a / d(n) for an increasing sequence of positive integers d(n)."""
+
+    def term(self, n):
+        if n < 1:
+            raise InvalidDeclaration(f"index {n} out of range")
+        _need_concrete(self)
+        return Fraction(self.a.numerator, self.a.denominator * self._denominator(n))
+
+    def _batch(self, stop):
+        p, q = self.a.numerator, self.a.denominator
+        return [Fraction(p, q * d) for d in self._denominators(stop)]
 
     def sup_factors(self, skip):
-        return [(self.a, Fraction(1, 2 if skip == 1 else 1))]
+        return [(self.a, Fraction(1, self._denominator(2 if skip == 1 else 1)))]
 
     def scale(self, factor):
-        return Harmonic(_scale_val(self.a, factor))
+        return type(self)(_scale_val(self.a, factor))
 
     def describe(self):
-        return f"harmonic({_fmt_val(self.a)})"
+        return f"{self.kind}({_fmt_val(self.a)})"
 
 
 @dataclass(frozen=True)
-class Geometric(LabelSeq):
+class Harmonic(_Reciprocal):
+    """a/1, a/2, a/3, ..."""
+
+    a: Fraction | Ref
+
+    kind = "harmonic"
+
+    @staticmethod
+    def _denominator(n):
+        return n
+
+    @staticmethod
+    def _denominators(stop):
+        return range(1, stop + 1)
+
+    def _count_geq(self, eps):
+        return floor(self.a / eps)
+
+
+@dataclass(frozen=True)
+class Geometric(_Vanishing):
     """a, a*r, a*r^2, ... with 0 < r < 1."""
 
     a: Fraction | Ref
@@ -474,32 +574,11 @@ class Geometric(LabelSeq):
             out.append(t)
         return out
 
-    def limsup(self):
-        return Fraction(0)
-
-    liminf = limsup
-
-    def inf(self):
-        return Fraction(0)
-
-    def sup(self):
-        _need_concrete(self)
-        return self.a
-
-    def indices_geq(self, eps):
-        _need_concrete(self)
-        _check_eps(eps)
-        out = []
-        n = 1
-        t = self.a
+    def _count_geq(self, eps):
+        n, t = 0, self.a
         while t >= eps:
-            out.append(n)
-            n += 1
-            t *= self.r
-        return out
-
-    def zero_profile(self):
-        return (0, 1)
+            n, t = n + 1, t * self.r
+        return n
 
     def sup_factors(self, skip):
         return [(self.a, self.r) if skip == 1 else (self.a,)]
@@ -534,71 +613,29 @@ def nth_prime(n: int) -> int:
     return _PRIMES[n - 1]
 
 
-def primes_leq(x: Fraction) -> list[int]:
-    out = []
-    i = 1
-    while True:
-        p = nth_prime(i)
-        if p > x:
-            return out
-        out.append(p)
-        i += 1
-
-
 @dataclass(frozen=True)
-class PrimeRecip(LabelSeq):
+class PrimeRecip(_Reciprocal):
     """a/2, a/3, a/5, a/7, ...: a over the n-th prime."""
 
     a: Fraction | Ref
 
     kind = "prime_recip"
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_val(self.a))
-        if val_is_concrete(self.a) and self.a < 0:
-            raise InvalidDeclaration(f"negative coefficient {self.a}")
-
-    def term(self, n):
-        if n < 1:
-            raise InvalidDeclaration(f"index {n} out of range")
-        _need_concrete(self)
-        return self.a / nth_prime(n)
-
-    def _batch(self, stop):
-        nth_prime(stop)  # grows the prime table to ``stop`` primes
-        p, q = self.a.numerator, self.a.denominator
-        return [Fraction(p, q * r) for r in _PRIMES[:stop]]
-
-    def limsup(self):
-        return Fraction(0)
-
-    liminf = limsup
-
-    def inf(self):
-        return Fraction(0)
+    _denominator = staticmethod(nth_prime)
 
     def sup(self):
-        _need_concrete(self)
-        return self.a / 2
+        return self.term(1)  # the profile starts at 1/2
 
-    def indices_geq(self, eps):
-        _need_concrete(self)
-        _check_eps(eps)
-        if self.a == 0:
-            return []
-        return list(range(1, len(primes_leq(self.a / eps)) + 1))
+    @staticmethod
+    def _denominators(stop):
+        nth_prime(stop)  # grows the prime table to ``stop`` primes
+        return _PRIMES[:stop]
 
-    def zero_profile(self):
-        return (0, 1)
-
-    def sup_factors(self, skip):
-        return [(self.a, Fraction(1, nth_prime(2 if skip == 1 else 1)))]
-
-    def scale(self, factor):
-        return PrimeRecip(_scale_val(self.a, factor))
-
-    def describe(self):
-        return f"prime_recip({_fmt_val(self.a)})"
+    def _count_geq(self, eps):
+        n, bound = 0, self.a / eps
+        while nth_prime(n + 1) <= bound:
+            n += 1
+        return n
 
 
 @dataclass(frozen=True)
@@ -612,6 +649,8 @@ class Modulated(LabelSeq):
     kind = "modulated"
 
     def __post_init__(self):
+        if type(self.period) is not int:  # a bool or a float is refused too
+            raise InvalidDeclaration(f"modulated period must be an integer, got {self.period!r}")
         object.__setattr__(self, "seqs", tuple(self.seqs))
         if self.period < 1 or len(self.seqs) != self.period:
             raise InvalidDeclaration(
@@ -706,113 +745,6 @@ class Modulated(LabelSeq):
     def describe(self):
         return f"modulated({self.period}; " + ", ".join(s.describe() for s in self.seqs) + ")"
 
-
-@dataclass(frozen=True)
-class Custom(LabelSeq):
-    """Explicit prefix plus declared asymptotics.
-
-    Beyond the prefix the sequence is materialized canonically as the
-    alternation limsup, liminf, limsup, ...; validation guarantees the
-    declared stats are exactly the stats of the materialized sequence:
-    prefix terms must not exceed limsup, inf must equal
-    min(min(prefix), liminf), and vanishes must equal (limsup == 0).
-    """
-
-    prefix: tuple[Fraction, ...]
-    limsup_: Fraction
-    liminf_: Fraction
-    inf_: Fraction
-    vanishes_: bool
-
-    kind = "custom"
-
-    def __post_init__(self):
-        vals = tuple(parse_rational(x) for x in self.prefix)
-        object.__setattr__(self, "prefix", vals)
-        object.__setattr__(self, "limsup_", parse_rational(self.limsup_))
-        object.__setattr__(self, "liminf_", parse_rational(self.liminf_))
-        object.__setattr__(self, "inf_", parse_rational(self.inf_))
-        for x in vals:
-            if x < 0:
-                raise InvalidDeclaration(f"negative term {x}")
-            if x > self.limsup_:
-                raise InvalidDeclaration(
-                    f"prefix term {x} exceeds declared limsup {self.limsup_}"
-                )
-        if not (0 <= self.liminf_ <= self.limsup_):
-            raise InvalidDeclaration(
-                f"need 0 <= liminf <= limsup, got {self.liminf_}, {self.limsup_}"
-            )
-        expect_inf = min(vals) if vals else self.liminf_
-        expect_inf = min(expect_inf, self.liminf_)
-        if self.inf_ != expect_inf:
-            raise InvalidDeclaration(
-                f"declared inf {self.inf_} differs from materialized inf {expect_inf}"
-            )
-        if self.vanishes_ != (self.limsup_ == 0):
-            raise InvalidDeclaration(
-                "declared vanishes flag contradicts declared limsup"
-            )
-
-    def term(self, n):
-        if n < 1:
-            raise InvalidDeclaration(f"index {n} out of range")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.limsup_ if (n - len(self.prefix)) % 2 == 1 else self.liminf_
-
-    def limsup(self):
-        return self.limsup_
-
-    def liminf(self):
-        return self.liminf_
-
-    def inf(self):
-        return self.inf_
-
-    def sup(self):
-        return max(self.limsup_, max(self.prefix, default=Fraction(0)))
-
-    def vanishes(self):
-        return self.vanishes_
-
-    def indices_geq(self, eps):
-        _check_eps(eps)
-        if self.limsup_ >= eps:
-            return INFINITE
-        return [i + 1 for i, x in enumerate(self.prefix) if x >= eps]
-
-    def zero_profile(self):
-        return (len(self.prefix), 2)
-
-    def class_limits(self, start, step):
-        # past the prefix, term n is limsup or liminf by the parity of
-        # n - len(prefix): an even step keeps one parity, an odd one both
-        q = 1 + step % 2
-        odd = ((start + k * step - len(self.prefix)) % 2 for k in range(q))
-        return q, [self.limsup_ if o else self.liminf_ for o in odd]
-
-    settle = _settle_past_prefix
-
-    def sup_factors(self, skip):
-        return [(self.limsup_,)]  # no prefix term exceeds it, and the tail repeats it
-
-    def scale(self, factor):
-        if isinstance(factor, Ref):
-            raise InvalidDeclaration("custom sequences cannot carry refs")
-        return Custom(
-            tuple(x * factor for x in self.prefix),
-            self.limsup_ * factor,
-            self.liminf_ * factor,
-            self.inf_ * factor,
-            self.vanishes_,
-        )
-
-    def describe(self):
-        return (
-            f"custom(prefix={list(map(format_rational, self.prefix))}, "
-            f"limsup={format_rational(self.limsup_)}, liminf={format_rational(self.liminf_)})"
-        )
 
 
 SEQ_KINDS = {

@@ -160,6 +160,16 @@ def _decode_list(decode):
     return decode_list
 
 
+def _decode_exact(kind):
+    """Decode only a JSON value of type ``kind``: no bool as an int, or int as a bool."""
+    def decode(obj):
+        if type(obj) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {obj!r}")  # reported as malformed
+        return obj
+
+    return decode
+
+
 def _fields_to_json(obj) -> dict:
     out = {"kind": obj.kind} if hasattr(obj, "kind") else {}
     for name in field_names(type(obj)):
@@ -284,12 +294,12 @@ _FIELDS = {
     "a": ("a", *_VAL),
     "r": ("r", *_VAL),
     "prefix": ("prefix", *_RATS),
-    "period": ("period", int, int, None),
+    "period": ("period", int, _decode_exact(int), None),
     "seqs": ("seqs", _encode_list(seq_to_json), _decode_list(seq_from_json), None),
     "limsup_": ("limsup", *_RAT),
     "liminf_": ("liminf", *_RAT),
     "inf_": ("inf", *_RAT),
-    "vanishes_": ("vanishes", bool, bool, None),
+    "vanishes_": ("vanishes", bool, _decode_exact(bool), None),
     "tree": ("tree", tree_to_json, tree_from_json, None),
     "labels": ("labels", *_SEQ),
     "center_label": ("center", *_VAL),

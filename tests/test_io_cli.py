@@ -643,6 +643,21 @@ MALFORMED_SYMBOLIC = [
     ({"kind": "glue_family", "base": RAY, "sites": "all",
       "template": RAY, "shared": "ray:1"},
      "glue_family JSON needs the field 'envelope'"),
+    ({"kind": "ray", "labels": {"kind": "modulated", "period": 2.7,
+                                "seqs": [{"kind": "const", "c": "1"}] * 2}},
+     "modulated field 'period' is malformed: 2.7"),
+    ({"kind": "ray", "labels": {"kind": "modulated", "period": True,
+                                "seqs": [{"kind": "const", "c": "1"}]}},
+     "modulated field 'period' is malformed: True"),
+    ({"kind": "ray", "labels": {"kind": "modulated", "period": "2",
+                                "seqs": [{"kind": "const", "c": "1"}] * 2}},
+     "modulated field 'period' is malformed: '2'"),
+    ({"kind": "ray", "labels": {"kind": "custom", "prefix": [], "limsup": "0",
+                                "liminf": "0", "inf": "0", "vanishes": "false"}},
+     "custom field 'vanishes' is malformed: 'false'"),
+    ({"kind": "ray", "labels": {"kind": "custom", "prefix": [], "limsup": "0",
+                                "liminf": "0", "inf": "0", "vanishes": 1}},
+     "custom field 'vanishes' is malformed: 1"),
 ]
 
 

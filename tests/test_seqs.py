@@ -96,6 +96,12 @@ def test_modulated_interleaves():
     assert s.has_adjacent_zero_pair() is None
 
 
+@pytest.mark.parametrize("period", [2.0, True, "2"])
+def test_modulated_refuses_a_period_that_is_not_an_int(period):
+    with pytest.raises(InvalidDeclaration, match="^modulated period must be an integer"):
+        Modulated(period, (Const(1), Const(0)))
+
+
 def test_modulated_adjacent_zeros():
     s = Modulated(3, (Const(0), Const(0), Harmonic(2)))
     assert s.has_adjacent_zero_pair() == 1
@@ -354,6 +360,22 @@ def test_progression_rules_match_brute_force_terms():
                     assert limit <= far < limit + F(1, 100), (seq, start, step, r)
                 classes += q
     print(f"progression rules: {classes} residue classes checked")
+
+
+def test_statistics_match_brute_force_terms():
+    """On seeded nestings of every kind: ``sup`` is the largest of the first
+    200 terms and ``inf`` their smallest, or 0 below it; ``limsup`` and
+    ``liminf`` are at most the largest and smallest term of indices
+    2000..2100 and within 1/100 of them; ``vanishes`` is limsup == 0."""
+    rng = random.Random(1620)
+    for _ in range(400):
+        seq = _random_kind(rng, 2)
+        head, far = seq.terms(200), seq.terms(2100)[1999:]
+        assert seq.sup() == max(head), seq
+        assert seq.inf() == min(head) or 0 == seq.inf() < min(head), seq
+        assert max(far) - F(1, 100) < seq.limsup() <= max(far), seq
+        assert min(far) - F(1, 100) < seq.liminf() <= min(far), seq
+        assert seq.vanishes() == (seq.limsup() == 0), seq
 
 
 def test_sup_factors_match_the_largest_term():

@@ -30,6 +30,7 @@ from ultratree.errors import (
 )
 from ultratree.finite_space import conjecture_scan, enumerate_spaces
 from ultratree.ratio import format_rational, parse_rational
+from ultratree.seqs import Ref
 from ultratree.spaces import (
     Hierarchy,
     UltraSpace,
@@ -175,6 +176,7 @@ ENTRY_POINTS = [
     ("conjecture_scan value", lambda x: conjecture_scan(2, [x])),
     ("count_vertices_geq eps", lambda x: count_vertices_geq(fig10(), x)),
     ("exceedance_bound eps", lambda x: exceedance_bound(fig10(), x)),
+    ("Ref coeff", lambda x: Ref("site_label", x)),
 ]
 
 
