@@ -328,15 +328,25 @@ def _center_records(node: SymbolicTree, ps, member) -> list[_CenterRecord]:
     return out
 
 
-def _prepare(node: SymbolicTree) -> tuple[list, list[_CenterRecord]]:
-    """Validate ``node``, refuse a degenerate labeling, and return the piece
-    list and the star-center records that ``classify`` and
-    ``isolated_points`` read."""
+def _prepare(node: SymbolicTree) -> tuple[tuple, tuple[_CenterRecord, ...]]:
+    """Validate ``node``, refuse a degenerate labeling, and return what
+    ``classify`` and ``isolated_points`` read off the piece list: the
+    vanishing-ray, non-vanishing-sequence and positive-center witnesses,
+    and the star-center records.  The result is kept on the node (its
+    ``__dict__``, as ``cached_property`` does); a refusal stores nothing.
+    The piece list itself is not kept: it holds the node when the node is
+    a piece or a family, and a node that held itself through its own
+    cache would stay alive until a full collection.
+    """
     validate_symbolic(node)
-    member = _member_memo()
-    ps = _concrete_pieces(node, member)
-    _raise_degenerate(ps)
-    return ps, _center_records(node, ps, member)
+    prepared = node.__dict__.get("_prepared")
+    if prepared is None:
+        member = _member_memo()
+        ps = _concrete_pieces(node, member)
+        _raise_degenerate(ps)
+        witnesses = _vanishing_ray(ps), _nonvanishing_seq(ps), _positive_infinite_degree(ps)
+        prepared = node.__dict__["_prepared"] = witnesses, tuple(_center_records(node, ps, member))
+    return prepared
 
 
 def _is_accumulation(rec: _CenterRecord) -> bool:
@@ -367,11 +377,15 @@ def _accumulation_witness(records) -> Witness | None:
 
 
 def classify(node: SymbolicTree) -> Verdict:
-    """Decide the four topological properties with witnesses."""
-    ps, records = _prepare(node)
-    complete_w = _vanishing_ray(ps)
-    vanish_w = _nonvanishing_seq(ps)
-    posinf_w = _positive_infinite_degree(ps)
+    """Decide the four topological properties with witnesses.
+
+    Validation and the preparation (pieces, degeneracy, witnesses read off
+    the pieces, star-center records) run once per node object and are kept
+    on it, shared with :func:`isolated_points`: nodes are immutable, so a
+    kept result cannot go stale.  A refused node is refused again on every
+    call.
+    """
+    (complete_w, vanish_w, posinf_w), records = _prepare(node)
     acc_w = _accumulation_witness(records)
 
     rayless = not contains_kind(node, Ray)
@@ -592,6 +606,10 @@ def isolated_points(node: SymbolicTree) -> IsolatedPointsReport:
     Only zero-labeled vertices of infinite degree can be accumulation points;
     each such vertex is reported with sample neighbors of positive vanishing
     label (which are themselves isolated).  Everything else is isolated.
+
+    Reads the star-center records that :func:`classify` prepares, kept on
+    the node object: a node classified before is not validated or prepared
+    again.
     """
     _, records = _prepare(node)
 

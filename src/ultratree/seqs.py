@@ -4,7 +4,8 @@ Infinite parts of a symbolic tree (ray vertices, star leaves, family
 envelopes) carry their labels as a declared sequence.  Every kind answers,
 with exact rational arithmetic: the n-th term, limsup / liminf / inf / sup,
 whether the sequence vanishes (tends to 0), and which indices carry a term
->= eps (a finite list or the answer "infinitely many").  ``terms(stop)``
+>= eps (a finite list or the answer "infinitely many"), or only how many
+and the last of them (``count_last_geq``, no list).  ``terms(stop)``
 gives the first ``stop`` terms at once, equal to ``term`` called for each
 index and raising where it would.  ``scale(f)`` multiplies the
 parameters, so its terms are f times the terms, at no cost per term.
@@ -17,7 +18,8 @@ sup (over both), ``indices_geq``, the zero profile (len(prefix),
 len(cycle)) and the progression rules below.  ``harmonic``, ``geometric``
 and ``prime_recip`` are a times a positive profile decreasing to 0; their
 base gives limsup = liminf = inf = 0, sup = term(1), the zero profile
-(0, 1) and ``indices_geq`` from a count of the leading terms >= eps.
+(0, 1), and ``indices_geq`` and ``count_last_geq`` from a count of the
+leading terms >= eps.
 Harmonic and prime-reciprocal terms with a = p/q are ``Fraction(p, q * d)``
 for d the index or the n-th prime: one normalisation, no division.  A
 geometric batch keeps a running product.  ``modulated`` interleaves child
@@ -162,8 +164,8 @@ class LabelSeq:
     # -- derived helpers shared by all kinds --------------------------------
 
     def count_geq(self, eps: Fraction):
-        idx = self.indices_geq(eps)
-        return idx if idx is INFINITE else len(idx)
+        found = self.count_last_geq(eps)
+        return found if found is INFINITE else found[0]
 
     def is_zero(self, n: int) -> bool:
         return self.term(n) == 0
@@ -229,6 +231,13 @@ class LabelSeq:
 
     def indices_geq(self, eps: Fraction):
         raise NotImplementedError
+
+    def count_last_geq(self, eps: Fraction):
+        """(count, last): how many terms are >= eps and the largest index
+        among them (0 when none), or INFINITE.  Read off ``indices_geq``
+        here; a kind with a closed form gives it without the list."""
+        idx = self.indices_geq(eps)
+        return idx if idx is INFINITE else (len(idx), max(idx, default=0))
 
     def zero_profile(self) -> tuple[int, int]:
         raise NotImplementedError
@@ -496,6 +505,12 @@ class _Vanishing(LabelSeq):
         _check_eps(eps)
         return list(range(1, self._count_geq(eps) + 1))
 
+    def count_last_geq(self, eps):
+        _need_concrete(self)
+        _check_eps(eps)
+        n = self._count_geq(eps)
+        return n, n
+
     def zero_profile(self):
         return (0, 1)
 
@@ -699,6 +714,18 @@ class Modulated(LabelSeq):
                 return INFINITE
             merged.extend((j - 1) * self.period + i + 1 for j in sub)
         return sorted(merged)
+
+    def count_last_geq(self, eps):
+        _check_eps(eps)
+        count = last = 0
+        for i, s in enumerate(self.seqs):
+            found = s.count_last_geq(eps)
+            if found is INFINITE:
+                return INFINITE
+            count += found[0]
+            if found[0]:
+                last = max(last, (found[1] - 1) * self.period + i + 1)
+        return count, last
 
     def zero_profile(self):
         profiles = [s.zero_profile() for s in self.seqs]

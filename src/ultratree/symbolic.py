@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .core_tree import LabeledTree, _freeze
@@ -532,7 +533,17 @@ def validate_symbolic(node: SymbolicTree) -> None:
     """Full structural validation: glue sites exist, shared labels match
     (exactly where concrete; family members spot-checked over the certified
     window plus the first few indices), envelopes dominate member suprema.
+
+    A node that passes is marked as validated in its own ``__dict__`` (as
+    ``functools.cached_property`` stores a value on a frozen dataclass),
+    and a later call on the same node object returns at once.  That is
+    sound because a node is frozen and everything it holds (nodes, label
+    sequences, finite trees) is immutable, so the verdict cannot go stale.
+    A refusal is not recorded: a refused node raises the same error on
+    every call.
     """
+    if "_validated" in getattr(node, "__dict__", ()):
+        return
     for prefix, n in walk_constructors(node):
         if any(step[0] == "member" for step in prefix):
             continue  # a template is checked through its instantiated members
@@ -543,6 +554,7 @@ def validate_symbolic(node: SymbolicTree) -> None:
             _validate_family(n)
         elif not isinstance(n, SymbolicTree):
             raise InvalidDeclaration(f"unknown constructor {type(n).__name__}")
+    node.__dict__["_validated"] = True
 
 
 def _validate_glue(base, site, part, shared) -> None:
@@ -646,11 +658,19 @@ def truncate(
     once and records it; each label costs one exact operation, with the
     ``scaled`` factors above a piece folded into its sequence.  A family
     whose template holds no free ref has every member equal to the template,
-    so the template's supremum is found once, only the envelope value is
-    compared per member, and the members share each piece's cut.  The
+    so the template's supremum is found once, each member's envelope value
+    is read from one batch and compared with it, and the members share each
+    piece's cut.  When that template is one piece, only the first member is
+    walked: each later member adds its name stem and glue site to that
+    member's record, which then stands for a run of copies of one cut.  The
     vertices are then named once each: the records sorted by prefix give
-    the sorted address order, and a vertex id is its piece's formatted
-    prefix plus its local step.
+    the sorted address order, a vertex id is its copy's stem (the formatted
+    prefix) plus its local step, and a run of copies is named in one
+    comprehension.  What is shared lives in the call's own state
+    (:class:`_Truncation`): each piece's cut, keyed by the piece object, its
+    scale and its forced steps, serves every member that reaches that piece,
+    which is sound because a piece is immutable.  Nothing is kept on the
+    node between calls.
 
     Returns the tree plus a map from canonical symbolic addresses to emitted
     vertex ids (vertex ids are the address strings themselves).  The tree is
@@ -667,16 +687,25 @@ def truncate(
     _walk(node, (), None, {}, out)
     labels, edges = {}, []
     for prefix in sorted(out.pieces):
-        cut, moved = out.pieces[prefix]
-        head = format_address(prefix) + "/" if prefix else ""
-        names = [head + t for t in cut.texts]
-        kept = 0  # the labels of names[kept:] are still to be written
-        for i in sorted(moved):
-            labels.update(zip(names[kept:i], cut.labels[kept:i]))
-            names[i], kept = moved[i], i + 1
-        labels.update(zip(names[kept:], cut.labels[kept:]))
-        get = names.__getitem__
-        edges += zip(map(get, cut.heads), map(get, cut.tails))
+        cut, stems, moved = out.pieces[prefix]
+        n, k = len(cut.texts), len(stems)
+        names = [s + t for s in stems for t in cut.texts]
+        values = cut.labels * k
+        if moved:  # a moved copy's vertex is written by the piece it merges into
+            keep = [True] * n
+            for i, finals in moved.items():
+                names[i::n] = finals
+                keep[i] = False
+            keep *= k
+            labels.update(zip(compress(names, keep), compress(values, keep)))
+        else:
+            labels.update(zip(names, values))
+        if k == 1:
+            get = names.__getitem__
+            edges += zip(map(get, cut.heads), map(get, cut.tails))
+        else:  # the edges of every copy, by their positions in names
+            pairs = list(zip(cut.heads, cut.tails))
+            edges += [(names[o + u], names[o + v]) for o in range(0, n * k, n) for u, v in pairs]
     tree = _freeze(labels, edges, labels)
     return tree, {v: v for v in labels}
 
@@ -684,9 +713,11 @@ def truncate(
 class _Truncation:
     """State of one :func:`truncate` call.
 
-    ``pieces`` maps each cut piece's address prefix to (cut, moved), where
-    ``moved`` maps the index of each copy a gluing merges away to the final
-    name of the vertex it merges into.  ``cuts`` holds the cut of each
+    ``pieces`` maps each cut piece's address prefix to (cut, stems, moved):
+    one or more copies of the cut, consecutive in address order, each
+    named by its stem (its formatted prefix and "/"), and ``moved`` maps
+    the index of each vertex a gluing merges away to the final names, one
+    per copy, of the vertices it merges into.  ``cuts`` holds the cut of each
     (piece, scale, forced steps) met so far, with the piece itself, so that
     its id is not reused, and the index of each forced step.
     """
@@ -695,7 +726,7 @@ class _Truncation:
 
     def __init__(self, budget: int, cap: int):
         self.budget, self.cap, self.kept = budget, cap, 0
-        self.pieces: dict[Address, tuple[_Cut, dict[int, str]]] = {}
+        self.pieces: dict[Address, tuple[_Cut, list[str], dict[int, list[str]]]] = {}
         self.cuts: dict[tuple, tuple] = {}
 
 
@@ -736,9 +767,13 @@ def _walk(node, prefix, scale, forced, out) -> None:
     prefix of another's, and each record lists its steps in address order
     (ray and leaf indices ascending, ``center`` before the leaves, the
     sorted vertices of a Finite), so sorting the records by prefix sorts
-    every vertex by address.  The kept vertices (moved copies excluded) are
-    counted as records are added, against the size cap, and a ray or star
-    is checked against it before its labels are computed.
+    every vertex by address.  The members of a family whose ref-free
+    template is one piece extend one record instead, from the first member
+    walked up to the next member a forced address pins: nothing lies
+    between them in address order.  The kept vertices (moved copies
+    excluded) are counted as records are added or extended, against the
+    size cap, and a ray or star is checked against it before its labels
+    are computed.
     """
     while isinstance(node, ScaledLabels):
         factor = _concrete(node.factor, "scale factor")
@@ -762,9 +797,9 @@ def _walk(node, prefix, scale, forced, out) -> None:
         for addr, hold in forced.items():
             if hold is not None:
                 i = at[addr]
-                moved[i] = hold[0]
+                moved[i] = [hold[0]]
                 hold[1] = cut.labels[i]
-        out.pieces[prefix] = cut, moved
+        out.pieces[prefix] = cut, [format_address(prefix) + "/" if prefix else ""], moved
         out.kept += len(cut.texts) - len(moved)
         _check_cap(out, out.kept)
         return
@@ -784,6 +819,7 @@ def _walk(node, prefix, scale, forced, out) -> None:
             base_forced.setdefault(site, None)
             parts.append((("attach", i), site, base_prefix + site[:-1],
                           format_address(site[-1:]), format_address(base_prefix + site)))
+        fixed = False
     else:
         kind, _, start, stride = _site_progression(node)
         pinned = sorted(m for _, m in by_step)
@@ -800,8 +836,9 @@ def _walk(node, prefix, scale, forced, out) -> None:
         # resolved once; a template without free refs is every member, so
         # its supremum is found once too
         fixed = not _node_has_free_refs(node.template)
+        stem = (format_address(prefix) + "/" if prefix else "") + "member:"
     _walk(node.base, base_prefix, scale, base_forced, out)
-    sup = shared = None
+    sup = shared = run = None
     for step, site, site_prefix, text, name in parts:
         base_cut = out.pieces.get(site_prefix)
         base_val = None if base_cut is None else base_cut[0].label(text)
@@ -811,19 +848,42 @@ def _walk(node, prefix, scale, forced, out) -> None:
             att = node.attachments[step[1]]
             part, shared = att.part, canonical(att.part, att.shared)
         else:
-            part = node.template if fixed else instantiate(node, step[1])
-            if sup is None or not fixed:
-                sup = sup_labels(part)
-            if sup > node.envelope.term(step[1]):
-                raise InvalidDeclaration(f"envelope does not dominate member {step[1]}")
+            m = step[1]
+            if not fixed:
+                part = instantiate(node, m)
+                sup, bound = sup_labels(part), node.envelope.term(m)
+            else:
+                if sup is None:  # its sup, and the envelope at the members <= budget in one batch
+                    part, sup = node.template, sup_labels(node.template)
+                    env = node.envelope.terms(out.budget)
+                bound = env[m - 1] if m <= out.budget else node.envelope.term(m)
+            if sup > bound:
+                raise InvalidDeclaration(f"envelope does not dominate member {m}")
             if shared is None:
                 shared = canonical(part, node.shared)
         outer = base_forced.get(site)
-        hold = [name if outer is None else outer[0], None]
-        sub = dict(by_step.get(step, ()))
-        sub[shared] = hold
-        _walk(part, prefix + (step,), scale, sub, out)
-        part_val = hold[1]
+        final = name if outer is None else outer[0]
+        if run is not None and step not in by_step:
+            # the template's one record again, with the same shared label
+            # part_val: one more stem, and the site its shared copy merges into
+            stems, finals, kept = run
+            stems.append(f"{stem}{m}/")
+            finals.append(final)
+            out.kept += kept
+            _check_cap(out, out.kept)
+        else:
+            hold = [final, None]
+            sub = dict(by_step.get(step, ()))
+            sub[shared] = hold
+            _walk(part, prefix + (step,), scale, sub, out)
+            part_val = hold[1]
+            run = None
+            if fixed and step not in by_step and prefix + (step,) in out.pieces:
+                # a ref-free template that is one piece left one record; the
+                # next members that no forced address pins extend it
+                cut, stems, moved = out.pieces[prefix + (step,)]
+                (finals,) = moved.values()
+                run = stems, finals, len(cut.texts) - 1
         if part_val != base_val:
             where = format_address((BASE,) + site)
             if step[0] == "member":
@@ -1022,8 +1082,8 @@ def _exceed(node: SymbolicTree, eps: Fraction):
     if isinstance(node, PIECES):  # a ray or a star
         star = isinstance(node, Star)
         center = star and _concrete(node.center_label, "center label") >= eps
-        idx = (node.leaf_labels if star else node.labels).indices_geq(eps)
-        return INFINITE if idx is INFINITE else (len(idx) + center, max(idx, default=1))
+        found = (node.leaf_labels if star else node.labels).count_last_geq(eps)
+        return INFINITE if found is INFINITE else (found[0] + center, max(found[1], 1))
     found = _exceed(node.base, eps)
     if found is INFINITE:
         return INFINITE

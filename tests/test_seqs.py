@@ -378,6 +378,19 @@ def test_statistics_match_brute_force_terms():
         assert seq.vanishes() == (seq.limsup() == 0), seq
 
 
+def test_count_last_geq_matches_the_listed_indices():
+    """``count_last_geq`` gives the length and the largest entry (0 when
+    empty) of ``indices_geq``, or INFINITE with it, on seeded nestings."""
+    rng = random.Random(1621)
+    for _ in range(400):
+        seq = _random_kind(rng, 2)
+        for eps in (F(1, 7), F(1, 3), F(1, 2), F(1), F(2)):
+            idx = seq.indices_geq(eps)
+            want = idx if idx is INFINITE else (len(idx), max(idx, default=0))
+            assert seq.count_last_geq(eps) == want, (seq, eps)
+            assert seq.count_geq(eps) == (idx if idx is INFINITE else len(idx))
+
+
 def test_sup_factors_match_the_largest_term():
     """The largest product of ``sup_factors(skip)``, refs bound, is the
     largest term at an index other than ``skip``, on seeded nestings with

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
@@ -531,6 +532,129 @@ def test_ref_free_family_envelope_checked_at_every_member():
         truncate(fam, 3)
 
 
+# a ref-free template that is one piece: the first member is walked, and
+# each later member adds its name to that member's record
+
+_EVEN_ZERO = Ray(Modulated(2, (Harmonic(1), Const(0))))  # zero at the even sites
+_PAIR = _edge("a", F(0), "b", F(1, 2))
+
+
+def _ref_free_family(template, shared, base=_EVEN_ZERO, sites="even", envelope=Const(1)):
+    return GlueFamily(base=base, sites=sites, template=template,
+                      shared=parse_address(shared), envelope=envelope)
+
+
+REF_FREE_TEMPLATES = [
+    (_PAIR, "vertex:a"),
+    (Ray(Modulated(2, (Const(0), Harmonic(F(1, 2))))), "ray:1"),
+    (Ray(Modulated(2, (Harmonic(F(1, 2)), Const(0)))), "ray:2"),
+    (Star(F(0), Geometric(F(1, 2), F(1, 2))), "center"),
+    (Star(F(1, 3), Modulated(2, (Const(0), Harmonic(F(1, 3))))), "leaf:1"),
+    (ScaledLabels(Star(F(0), Harmonic(1)), F(1, 3)), "center"),
+]
+REF_FREE_BASES = [
+    (_EVEN_ZERO, "even"),
+    (Ray(Modulated(2, (Const(0), Harmonic(1)))), "odd"),
+    (Ray(Const(0)), "all"),
+    (Star(F(1), Const(0)), "leaves"),
+]
+
+
+def _matches_oracle(node, budgets=range(1, 8)):
+    for budget in budgets:
+        want = _truncation_or_error(truncate_oracle, node, budget)
+        assert _truncation_or_error(truncate, node, budget) == want, (symbolic_to_json(node), budget)
+
+
+@pytest.mark.parametrize("template, shared", REF_FREE_TEMPLATES,
+                         ids=lambda x: getattr(x, "kind", x))
+def test_ref_free_members_extend_one_record(monkeypatch, template, shared):
+    """Finite, ray, star and scaled star templates on every site selector,
+    alone and under a ``scaled`` node, agree with the oracle; the walk
+    enters the family, its base and the first member only."""
+    walked = []
+    walk = symbolic._walk
+    monkeypatch.setattr(symbolic, "_walk", lambda node, *rest: walked.append(node) or walk(node, *rest))
+    for base, sites in REF_FREE_BASES:
+        fam = _ref_free_family(template, shared, base, sites)
+        validate_symbolic(fam)
+        for node in (fam, ScaledLabels(fam, F(5, 2))):
+            _matches_oracle(node)
+            walked.clear()
+            truncate(node, 6)
+            assert len(walked) == 3
+
+
+@pytest.mark.parametrize("sites", [
+    ("member:2/vertex:b",),
+    ("member:9/vertex:b",),
+    ("member:1/vertex:b", "member:3/vertex:b", "member:12/vertex:b"),
+])
+def test_ref_free_members_pinned_by_a_gluing(sites):
+    """A gluing that names a vertex inside a member, within the budget or
+    beyond it, walks that member on its own and splits the others' record
+    around it."""
+    part = _edge("c", F(1, 2), "d", F(1, 5))
+    atts = tuple(Attachment(parse_address(s), part, (("vertex", "c"),)) for s in sites)
+    doc = GlueFinite(_ref_free_family(_PAIR, "vertex:a"), atts)
+    validate_symbolic(doc)
+    _matches_oracle(doc)
+    # a ray template forced past the budget inside one member
+    ray = _ref_free_family(REF_FREE_TEMPLATES[1][0], "ray:1")
+    _matches_oracle(_glue(ray, "member:3/ray:6", part, "vertex:c"), range(1, 5))
+    # the family glued as a part by the site of its member 2: that member's
+    # shared copy merges into the outer base's vertex
+    _matches_oracle(_glue(_EVEN_ZERO, "ray:2", _ref_free_family(_PAIR, "vertex:a"), "base/ray:4"))
+
+
+def test_ref_free_family_nested_in_a_template():
+    inner = _ref_free_family(_edge("a", F(0), "b", F(1, 4)), "vertex:a",
+                             base=Ray(Modulated(2, (Const(0), Harmonic(F(1, 2))))), sites="odd",
+                             envelope=Const(F(1, 2)))
+    outer = _ref_free_family(inner, "base/ray:1")
+    validate_symbolic(outer)
+    _matches_oracle(outer, range(1, 6))
+    # the outer template with a ref: each outer member is instantiated, and
+    # its inner family still has a ref-free template
+    scaled = ScaledLabels(inner, Ref("envelope"))
+    _matches_oracle(_ref_free_family(scaled, "base/ray:1", envelope=Harmonic(2)), range(1, 6))
+
+
+def test_ref_free_members_refused_where_the_oracle_refuses():
+    """An envelope that drops below the template's sup at member 3, and a
+    base whose site label stops matching at member 3, are refused at
+    member 3 as the oracle refuses them."""
+    drops = _ref_free_family(_PAIR, "vertex:a", envelope=Harmonic(1))
+    _matches_oracle(drops, range(1, 9))
+    with pytest.raises(InvalidDeclaration, match=r"^envelope does not dominate member 3$"):
+        truncate(drops, 6)
+    assert len(truncate(drops, 5)[0]) == 5 + 2
+    mismatch = _ref_free_family(_PAIR, "vertex:a", base=Ray(Modulated(3, (Const(0), Const(0), Harmonic(1)))),
+                                sites="all")
+    _matches_oracle(mismatch, range(1, 9))
+    with pytest.raises(GlueLabelMismatch, match=r"^glued labels differ at member:3 at base/ray:3: "):
+        truncate(mismatch, 3)
+
+
+def test_ref_free_members_meet_the_cap_where_the_walk_per_member_does(monkeypatch):
+    nodes = [_ref_free_family(t, s) for t, s in REF_FREE_TEMPLATES]
+
+    def refusals():
+        out = []
+        for node in nodes:
+            for cap in range(1, 40):
+                try:
+                    out.append(len(truncate(node, 6, size_cap=cap)[0]))
+                except SizeCapExceeded as exc:
+                    out.append(str(exc))
+        return out
+
+    record = refusals()
+    assert sum(isinstance(x, str) for x in record) > 80
+    monkeypatch.setattr(symbolic, "_node_has_free_refs", lambda node: True)
+    assert refusals() == record
+
+
 # seeded random documents against the oracle
 
 _VALUES = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2))
@@ -786,6 +910,26 @@ def test_count_infinite_cases():
     assert exceedance_bound(Ray(Const(1)), F(1, 2)) is INFINITE
     assert count_vertices_geq(Ray(Const(1)), F(3, 2)) == 0
     assert count_vertices_geq(Star(F(1), Harmonic(1)), F(1)) == 2
+
+
+def test_count_rays_and_stars_without_listing_their_vertices():
+    """A ray or star piece is counted from its sequence's (count, last
+    index): ``harmonic(10**12)`` has 4 * 10**12 labels >= 1/4, which no
+    list of indices would hold."""
+    budget = 1.0
+    n = 4 * 10**12
+    start = time.perf_counter()
+    for node, count, bound in (
+        (Ray(Harmonic(10**12)), n, n),
+        (Star(F(1), Harmonic(10**12)), n + 1, n),
+        (Ray(Modulated(2, (Const(0), Harmonic(10**12)))), n, 2 * n),
+        (ScaledLabels(Ray(Harmonic(10**11)), F(10)), n, n),
+    ):
+        assert count_vertices_geq(node, F(1, 4)) == count
+        assert exceedance_bound(node, F(1, 4)) == bound
+    took = time.perf_counter() - start
+    print(f"count and bound of harmonic(10**12) at eps 1/4: {took:.4f}s of {budget:.0f}s")
+    assert took < budget
 
 
 def test_count_scales_with_labels():
@@ -1078,6 +1222,92 @@ def test_classify_refuses_refs_outside_a_template():
     with pytest.raises(InvalidDeclaration) as e:
         isolated_points(Star(Ref("site_label"), Harmonic(1)))
     assert str(e.value) == "center label is an unresolved ref"
+
+
+# ---------------------------------------------------------------------------
+# validation and preparation kept on the node
+
+
+_MISMATCHED = symbolic_to_json(GlueFamily(
+    base=Ray(Const(1)), sites="all", template=Star(F(1, 2), Harmonic(1)),
+    shared=(("center",),), envelope=Const(1),
+))
+
+
+def test_unvalidated_node_is_validated_by_classify_and_isolated_points():
+    for ask in (classify, isolated_points):
+        node = symbolic_from_json(_MISMATCHED, validate=False)
+        with pytest.raises(GlueLabelMismatch, match="^glued labels differ at member:1 at center"):
+            ask(node)
+
+
+def test_refused_node_is_refused_on_every_call():
+    node = symbolic_from_json(_MISMATCHED, validate=False)
+    calls = (validate_symbolic, classify, isolated_points) * 2
+    refusals = {_answer(ask, node) for ask in calls}
+    assert refusals == {("GlueLabelMismatch", "glued labels differ at member:1 at center: "
+                                              "base has 1, part has 1/2")}
+    # a degenerate labeling passes validation but is refused by each question
+    zero = Ray(Const(0))
+    assert len({_answer(ask, zero) for ask in (classify, isolated_points) * 2}) == 1
+
+
+def test_members_instantiated_for_validation_once(monkeypatch):
+    """Parse, classify and isolated points on one node: validation
+    instantiates the checked members once, the preparation the window's
+    members once, and the second question neither."""
+    made = []
+    real = symbolic.instantiate
+
+    def counting(fam, m):
+        made.append(m)
+        return real(fam, m)
+
+    # the package re-exports the function ``classify`` over its module's name
+    for module in (symbolic, sys.modules["ultratree.classify"]):
+        monkeypatch.setattr(module, "instantiate", counting)
+    fam = fig10()
+    window = member_window(fam)
+    checked = set(window) | set(range(1, symbolic.SPOT_CHECK_MEMBERS + 1))
+    node = symbolic_from_json(symbolic_to_json(fam))
+    assert sorted(made) == sorted(checked)
+    made.clear()
+    classify(node)
+    assert made == window
+    made.clear()
+    isolated_points(node)
+    classify(node)
+    validate_symbolic(node)
+    assert made == []
+
+
+@pytest.mark.parametrize("first, second", [(classify, isolated_points), (isolated_points, classify)])
+def test_shared_node_answers_as_fresh_parses(first, second):
+    for doc in GOLDEN_DOCS:
+        node = symbolic_from_json(doc, validate=False)
+        shared = [_answer(first, node), _answer(second, node)]
+        fresh = [_answer(ask, symbolic_from_json(doc, validate=False)) for ask in (first, second)]
+        assert shared == fresh, doc
+
+
+def test_kept_results_hold_no_reference_cycle():
+    """What validation and preparation keep on a node does not refer back to
+    it, so a node is freed as soon as it is dropped."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for doc in GOLDEN_DOCS:
+            node = symbolic_from_json(doc, validate=False)
+            for ask in (classify, isolated_points, classify):
+                _answer(ask, node)
+            del node
+        gc.collect()
+        kinds = {type(x).__name__ for x in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not kinds & {"Finite", "Ray", "Star", "GlueFinite", "GlueFamily", "ScaledLabels",
+                        "Bag", "_CenterRecord"}
 
 
 def test_unresolvable_glue_address_is_an_unknown_vertex():
