@@ -665,12 +665,12 @@ def truncate(
     member's record, which then stands for a run of copies of one cut.  The
     vertices are then named once each: the records sorted by prefix give
     the sorted address order, a vertex id is its copy's stem (the formatted
-    prefix) plus its local step, and a run of copies is named in one
-    comprehension.  What is shared lives in the call's own state
-    (:class:`_Truncation`): each piece's cut, keyed by the piece object, its
-    scale and its forced steps, serves every member that reaches that piece,
-    which is sound because a piece is immutable.  Nothing is kept on the
-    node between calls.
+    prefix) plus its local step, and every record, one copy or a run of
+    copies, is named by the same comprehension.  What is shared lives in
+    the call's own state (:class:`_Truncation`): each piece's cut, keyed by
+    the piece object, its scale and its forced steps, serves every member
+    that reaches that piece, which is sound because a piece is immutable.
+    Nothing is kept on the node between calls.
 
     Returns the tree plus a map from canonical symbolic addresses to emitted
     vertex ids (vertex ids are the address strings themselves).  The tree is
@@ -690,22 +690,19 @@ def truncate(
         cut, stems, moved = out.pieces[prefix]
         n, k = len(cut.texts), len(stems)
         names = [s + t for s in stems for t in cut.texts]
-        values = cut.labels * k
-        if moved:  # a moved copy's vertex is written by the piece it merges into
-            keep = [True] * n
-            for i, finals in moved.items():
-                names[i::n] = finals
-                keep[i] = False
-            keep *= k
-            labels.update(zip(compress(names, keep), compress(values, keep)))
-        else:
-            labels.update(zip(names, values))
-        if k == 1:
-            get = names.__getitem__
-            edges += zip(map(get, cut.heads), map(get, cut.tails))
-        else:  # the edges of every copy, by their positions in names
-            pairs = list(zip(cut.heads, cut.tails))
-            edges += [(names[o + u], names[o + v]) for o in range(0, n * k, n) for u, v in pairs]
+        keep = [True] * n
+        # a moved copy's vertex is written by the piece it merges into
+        for i, finals in moved.items():
+            names[i::n] = finals
+            keep[i] = False
+        keep *= k
+        labels.update(zip(compress(names, keep), compress(cut.labels * k, keep)))
+        # every copy's edges, by position
+        edges += [
+            (names[o + u], names[o + v])
+            for o in range(0, n * k, n)
+            for u, v in zip(cut.heads, cut.tails)
+        ]
     tree = _freeze(labels, edges, labels)
     return tree, {v: v for v in labels}
 
