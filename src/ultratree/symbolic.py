@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 
 from .core_tree import LabeledTree, _freeze
@@ -188,11 +188,13 @@ class ScaledLabels(SymbolicTree):
     kind = "scaled"
 
     def __post_init__(self):
-        object.__setattr__(self, "factor", as_val(self.factor))
-        if val_is_concrete(self.factor) and self.factor <= 0:
-            raise InvalidDeclaration(
-                f"scale factor must be positive, got {self.factor}"
-            )
+        object.__setattr__(self, "factor", _factor(as_val(self.factor)))
+
+
+def _factor(value):  # a ref is checked once bound
+    if val_is_concrete(value) and value <= 0:
+        raise InvalidDeclaration(f"scale factor must be positive, got {value}")
+    return value
 
 
 NODE_KINDS = {
@@ -248,10 +250,6 @@ def site_label(fam: GlueFamily, m: int) -> Fraction:
     return seq.term(site_base_step(fam, m)[1])
 
 
-def member_bindings(fam: GlueFamily, m: int) -> dict[str, Fraction]:
-    return {"site_label": site_label(fam, m), "envelope": fam.envelope.term(m)}
-
-
 def substitute_node(node: SymbolicTree, bindings: dict[str, Fraction]) -> SymbolicTree:
     """Resolve refs bound by the *innermost* family: nested family templates
     are left untouched (their refs belong to the nested family)."""
@@ -274,7 +272,8 @@ def _substitute_field(name: str, value, bindings: dict[str, Fraction]):
 
 def instantiate(fam: GlueFamily, m: int) -> SymbolicTree:
     """Concrete member m of the family."""
-    return substitute_node(fam.template, member_bindings(fam, m))
+    bindings = {"site_label": site_label(fam, m), "envelope": fam.envelope.term(m)}
+    return substitute_node(fam.template, bindings)
 
 
 def member_window(fam: GlueFamily) -> list[int]:
@@ -496,33 +495,60 @@ def _concrete(value, what: str) -> Fraction:
     return value
 
 
+def _values(piece, bind=None):
+    """None for a Finite, else (a star's center label or None for a ray, its
+    label sequence), with the refs bound by ``bind`` when it is given."""
+    if isinstance(piece, Finite):
+        return None
+    center, seq = ((None, piece.labels) if isinstance(piece, Ray)
+                   else (piece.center_label, piece.leaf_labels))
+    return (center, seq) if bind is None else (resolve_val(center, bind), seq.substitute(bind))
+
+
+def _read(piece, values, step=None) -> Fraction:
+    """The label at the piece-local ``step`` of a piece with :func:`_values`
+    ``values``, or with no ``step`` the supremum of its labels."""
+    if values is None:
+        return max(piece.tree.labels.values()) if step is None else piece.tree.labels[step[1]]
+    center, seq = values
+    if step is None:
+        return seq.sup() if center is None else max(_concrete(center, "center label"), seq.sup())
+    return _concrete(center, "center label") if step == CENTER else seq.term(step[1])
+
+
 def label_at(node: SymbolicTree, addr: Address) -> Fraction:
     """Exact label of the vertex at ``addr`` (node must be concrete there)."""
-    piece, ((kind, *arg),), scale = _locate(node, addr)
-    if isinstance(piece, Finite):
-        label = piece.tree.labels[arg[0]]
-    elif kind == "center":
-        label = _concrete(piece.center_label, "center label")
-    else:
-        seq = piece.labels if isinstance(piece, Ray) else piece.leaf_labels
-        label = seq.term(arg[0])
-    return _concrete(scale, "scale factor") * label
+    piece, (step,), scale = _locate(node, addr)
+    return _read(piece, _values(piece), step) * _concrete(scale, "scale factor")
 
 
 def sup_labels(node: SymbolicTree) -> Fraction:
     """Supremum of all labels (envelopes bound family members by contract)."""
     sups = []
-    for _, piece, scale in pieces(node, None):
-        if isinstance(piece, Finite):
-            sup = max(piece.tree.labels.values())
-        elif isinstance(piece, Ray):
-            sup = piece.labels.sup()
-        elif isinstance(piece, Star):
-            sup = max(_concrete(piece.center_label, "center label"), piece.leaf_labels.sup())
-        else:
-            sup = piece.envelope.sup()
+    for _, p, scale in pieces(node, None):
+        sup = p.envelope.sup() if isinstance(p, GlueFamily) else _read(p, _values(p))
         sups.append(_concrete(scale, "scale factor") * sup)
     return max(sups)
+
+
+def _bound(template: SymbolicTree, bind: dict, scale):
+    """(piece, sup, scale times its factors, bound :func:`_values`) of the
+    member ``bind`` makes of a template that is one piece under ``scaled``
+    nodes, not built (None for any other template), refused as
+    :func:`instantiate` refuses it, in its order."""
+    factors = []
+    while isinstance(template, ScaledLabels):
+        factors.append(template.factor)
+        template = template.inner
+    if not isinstance(template, PIECES):
+        return None
+    values = _values(template, bind)
+    sup = _read(template, values)
+    for factor in reversed(factors):
+        factor = _factor(resolve_val(factor, bind))
+        sup *= factor
+        scale = factor if scale is None else factor * scale
+    return template, sup, scale, values
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +559,8 @@ def validate_symbolic(node: SymbolicTree) -> None:
     """Full structural validation: glue sites exist, shared labels match
     (exactly where concrete; family members spot-checked over the certified
     window plus the first few indices), envelopes dominate member suprema.
+    A checked member of a one-piece template is not built (its refs are
+    bound into the template by :func:`_bound`); others are instantiated.
 
     A node that passes is marked as validated in its own ``__dict__`` (as
     ``functools.cached_property`` stores a value on a frozen dataclass),
@@ -579,19 +607,23 @@ def _validate_family(fam: GlueFamily) -> None:
         return  # a nested family: its members are checked once instantiated
     checks = sorted(set(member_window(fam)) | set(range(1, SPOT_CHECK_MEMBERS + 1)))
     for m in checks:
-        member = instantiate(fam, m)
-        validate_symbolic(member)
-        want = site_label(fam, m)
-        got = label_at(member, fam.shared)
+        want, bound = site_label(fam, m), fam.envelope.term(m)
+        one = _bound(fam.template, {"site_label": want, "envelope": bound}, ONE)
+        if one is None:
+            member = instantiate(fam, m)
+            validate_symbolic(member)
+            got, sup = label_at(member, fam.shared), sup_labels(member)
+        else:  # one piece: the member's refs are bound into it, no member is built
+            piece, sup, scale, values = one
+            got = _read(piece, values, fam.shared[0]) * scale
         if want != got:
             raise GlueLabelMismatch(
                 f"member:{m} at {format_address(fam.shared)}", want, got
             )
-        if sup_labels(member) > fam.envelope.term(m):
+        if sup > bound:
             raise InvalidDeclaration(
                 f"envelope {fam.envelope.describe()} does not dominate "
-                f"member {m} (sup {format_rational(sup_labels(member))} > "
-                f"{format_rational(fam.envelope.term(m))})"
+                f"member {m} (sup {format_rational(sup)} > {format_rational(bound)})"
             )
 
 
@@ -657,20 +689,19 @@ def truncate(
     One top-down walk (:func:`_walk`) cuts every Finite, Ray and Star piece
     once and records it; each label costs one exact operation, with the
     ``scaled`` factors above a piece folded into its sequence.  A family
-    whose template holds no free ref has every member equal to the template,
-    so the template's supremum is found once, each member's envelope value
-    is read from one batch and compared with it, and the members share each
-    piece's cut.  When that template is one piece, only the first member is
-    walked: each later member adds its name stem and glue site to that
-    member's record, which then stands for a run of copies of one cut.  The
-    vertices are then named once each: the records sorted by prefix give
-    the sorted address order, a vertex id is its copy's stem (the formatted
-    prefix) plus its local step, and every record, one copy or a run of
-    copies, is named by the same comprehension.  What is shared lives in
-    the call's own state (:class:`_Truncation`): each piece's cut, keyed by
-    the piece object, its scale and its forced steps, serves every member
-    that reaches that piece, which is sound because a piece is immutable.
-    Nothing is kept on the node between calls.
+    whose template is one piece (under ``scaled`` nodes) builds no member:
+    each member's site label and envelope value are bound into the
+    template's sequences, center and factors.  Its first member is walked;
+    each later one adds its name stem, glue site and label list (one list
+    for all when the template holds no free ref) to that record, a run of
+    copies of one cut.  Other templates are walked per member, as
+    themselves when they hold no free ref, and each piece's cut, kept in
+    the call's own state (:class:`_Truncation`) by piece object, scale and
+    forced steps, serves every member (a piece is immutable).  The records
+    sorted by prefix give the address order, and every record, one copy or
+    a run, is named by one comprehension: a vertex id is its copy's stem
+    (the formatted prefix) plus its local step.  Nothing is kept on the
+    node between calls.
 
     Returns the tree plus a map from canonical symbolic addresses to emitted
     vertex ids (vertex ids are the address strings themselves).  The tree is
@@ -687,7 +718,7 @@ def truncate(
     _walk(node, (), None, {}, out)
     labels, edges = {}, []
     for prefix in sorted(out.pieces):
-        cut, stems, moved = out.pieces[prefix]
+        cut, stems, moved, copies = out.pieces[prefix]
         n, k = len(cut.texts), len(stems)
         names = [s + t for s in stems for t in cut.texts]
         keep = [True] * n
@@ -696,7 +727,7 @@ def truncate(
             names[i::n] = finals
             keep[i] = False
         keep *= k
-        labels.update(zip(compress(names, keep), compress(cut.labels * k, keep)))
+        labels.update(zip(compress(names, keep), compress(chain.from_iterable(copies), keep)))
         # every copy's edges, by position
         edges += [
             (names[o + u], names[o + v])
@@ -710,45 +741,45 @@ def truncate(
 class _Truncation:
     """State of one :func:`truncate` call.
 
-    ``pieces`` maps each cut piece's address prefix to (cut, stems, moved):
-    one or more copies of the cut, consecutive in address order, each
-    named by its stem (its formatted prefix and "/"), and ``moved`` maps
-    the index of each vertex a gluing merges away to the final names, one
-    per copy, of the vertices it merges into.  ``cuts`` holds the cut of each
-    (piece, scale, forced steps) met so far, with the piece itself, so that
-    its id is not reused, and the index of each forced step.
+    ``pieces`` maps each cut piece's address prefix to (cut, stems, moved,
+    copies): one or more copies of the cut, consecutive in address order,
+    each named by its stem (its formatted prefix and "/") and labeled by
+    its list in ``copies``, and ``moved`` maps the index of each vertex a
+    gluing merges away to the final names, one per copy, of the vertices
+    it merges into.  ``cuts`` holds (piece, values, cut, labels, forced step
+    indices) by piece and values ids (kept: none is reused), scale and steps.
     """
 
     __slots__ = ("budget", "cap", "kept", "pieces", "cuts")
 
     def __init__(self, budget: int, cap: int):
         self.budget, self.cap, self.kept = budget, cap, 0
-        self.pieces: dict[Address, tuple[_Cut, list[str], dict[int, list[str]]]] = {}
+        self.pieces: dict[Address, tuple[_Cut, list[str], dict[int, list[str]], list[list]]] = {}
         self.cuts: dict[tuple, tuple] = {}
 
 
 class _Cut:
     """One piece cut at the budget: its local step texts (``ray:3``,
-    ``center``, ...) in address order, their labels, its edges as two
-    index sequences, and step text -> index, built on the first lookup."""
+    ``center``, ...) in address order, the terms 1..``first`` (the budget)
+    and ``beyond`` (forced past it) that label a ray or a star's leaves, its
+    edges as two index sequences, and step text -> index, built lazily."""
 
-    __slots__ = ("texts", "labels", "heads", "tails", "index")
+    __slots__ = ("texts", "first", "beyond", "heads", "tails", "index")
 
-    def __init__(self, texts, labels, heads, tails):
-        self.texts, self.labels, self.heads, self.tails = texts, labels, heads, tails
-        self.index = None
+    def __init__(self, texts, first, beyond, heads, tails):
+        self.texts, self.first, self.beyond = texts, first, beyond
+        self.heads, self.tails, self.index = heads, tails, None
 
-    def label(self, text: str):
-        """The label of the vertex ``text``, None when the cut omits it."""
+    def find(self, text: str):
+        """The index of the vertex ``text``, None when the cut omits it."""
         if self.index is None:
             self.index = {t: i for i, t in enumerate(self.texts)}
-        i = self.index.get(text)
-        return None if i is None else self.labels[i]
+        return self.index.get(text)
 
 
 # a module-level recursion: a closure that calls itself would keep each
 # truncation alive in a reference cycle until a full collection
-def _walk(node, prefix, scale, forced, out) -> None:
+def _walk(node, prefix, scale, forced, out, values=None) -> None:
     """Record the truncation of ``node`` in ``out``.
 
     ``prefix`` is the node's address, ``scale`` the product of the scale
@@ -756,28 +787,27 @@ def _walk(node, prefix, scale, forced, out) -> None:
     each node-local address the truncation must include to None, or, for
     a part's copy of a glued vertex, to a holder [final name, label]: the
     piece holding that copy fills in its label, marks it moved and names
-    its edges after the final name.  A gluing walks its base, then each
-    part, and compares the label each part left in its holder with the
-    base copy's.
+    its edges after the final name; ``values`` are a member's bound
+    :func:`_values`.  A gluing walks its base, then each part, and compares
+    the label each part left in its holder with the base copy's.
 
     Each piece becomes one record under its prefix.  No piece's prefix is a
     prefix of another's, and each record lists its steps in address order
     (ray and leaf indices ascending, ``center`` before the leaves, the
     sorted vertices of a Finite), so sorting the records by prefix sorts
-    every vertex by address.  The members of a family whose ref-free
-    template is one piece extend one record instead, from the first member
-    walked up to the next member a forced address pins: nothing lies
-    between them in address order.  The kept vertices (moved copies
-    excluded) are counted as records are added or extended, against the
-    size cap, and a ray or star is checked against it before its labels
-    are computed.
+    every vertex by address.  The members of a family whose template is
+    one piece extend one record instead, from the first member walked up
+    to the next member a forced address pins: nothing lies between them in
+    address order.  The kept vertices (moved copies excluded) are counted
+    as records are added or extended, against the size cap, and a ray or
+    star is checked against it before its labels are computed.
     """
     while isinstance(node, ScaledLabels):
         factor = _concrete(node.factor, "scale factor")
         scale = factor if scale is None else scale * factor
         node = node.inner
     if isinstance(node, PIECES):
-        key = (id(node), scale, frozenset(forced))
+        key = (id(node), id(values), scale, frozenset(forced))
         hit = out.cuts.get(key)
         if hit is None:
             if not isinstance(node, Finite):
@@ -786,17 +816,18 @@ def _walk(node, prefix, scale, forced, out) -> None:
                 holders = sum(hold is not None for hold in forced.values())
                 least = out.budget + isinstance(node, Star) - holders
                 _check_cap(out, out.kept + least)
-            cut = _piece(node, out.budget, forced, scale)
-            at = {addr: cut.texts.index(format_address(addr)) for addr in forced}
-            hit = out.cuts[key] = (node, cut, at)
-        _, cut, at = hit
+            cut = _piece(node, out.budget, forced)
+            at = {addr: cut.find(format_address(addr)) for addr in forced}
+            labels = _labels(node, values or _values(node), cut, scale)
+            hit = out.cuts[key] = (node, values, cut, labels, at)
+        _, _, cut, labels, at = hit
         moved = {}
         for addr, hold in forced.items():
             if hold is not None:
                 i = at[addr]
                 moved[i] = [hold[0]]
-                hold[1] = cut.labels[i]
-        out.pieces[prefix] = cut, [format_address(prefix) + "/" if prefix else ""], moved
+                hold[1] = labels[i]
+        out.pieces[prefix] = cut, [format_address(prefix) + "/" if prefix else ""], moved, [labels]
         out.kept += len(cut.texts) - len(moved)
         _check_cap(out, out.kept)
         return
@@ -806,81 +837,89 @@ def _walk(node, prefix, scale, forced, out) -> None:
     base_forced = by_step.pop(BASE, {})
     base_prefix = prefix + (BASE,)
     # (step, site, piece prefix and step text of the site, its name) of
-    # every part: each attachment, or the members m <= budget plus the
-    # members forced addresses name, with the family's sites found by
-    # arithmetic on its ray or star base
+    # every part: each attachment, or the members m <= budget whose site
+    # the base keeps plus the members forced addresses name, with the
+    # family's sites found by arithmetic on its ray or star base
     if isinstance(node, GlueFinite):
-        parts = []
+        parts, one = [], None
         for i, att in enumerate(node.attachments):
             site = canonical(node.base, att.site)
             base_forced.setdefault(site, None)
             parts.append((("attach", i), site, base_prefix + site[:-1],
                           format_address(site[-1:]), format_address(base_prefix + site)))
-        fixed = False
     else:
-        kind, _, start, stride = _site_progression(node)
+        kind, site_seq, start, stride = _site_progression(node)
         pinned = sorted(m for _, m in by_step)
         for m in pinned:
             base_forced.setdefault((site_base_step(node, m),), None)
+        # the sites the base keeps: a ray's 1..top, a star's leaves up to the budget
+        top = max([out.budget, *(addr[0][1] for addr in base_forced if addr[0] != CENTER)])
+        last = min(out.budget, (top - start) // stride + 1)
         head = format_address(base_prefix) + "/"
-        members = [*range(1, out.budget + 1), *(m for m in pinned if m > out.budget)]
-        sites = ((m, start + (m - 1) * stride) for m in members)
         parts = (
             (("member", m), ((kind, n),), base_prefix, f"{kind}:{n}", f"{head}{kind}:{n}")
-            for m, n in sites
+            for m in [*range(1, last + 1), *(m for m in pinned if m > out.budget)]
+            for n in [start + (m - 1) * stride]
         )
         # members share the template's structure, so the shared address is
-        # resolved once; a template without free refs is every member, so
-        # its supremum is found once too
-        fixed = not _node_has_free_refs(node.template)
+        # resolved once; a template without free refs is every member
+        free = _node_has_free_refs(node.template)
         stem = (format_address(prefix) + "/" if prefix else "") + "member:"
     _walk(node.base, base_prefix, scale, base_forced, out)
-    sup = shared = run = None
+    env = sup = shared = run = values = None
     for step, site, site_prefix, text, name in parts:
-        base_cut = out.pieces.get(site_prefix)
-        base_val = None if base_cut is None else base_cut[0].label(text)
-        if base_val is None:
-            continue
+        record = out.pieces[site_prefix]  # every site is forced or kept
+        base_val = record[3][0][record[0].find(text)]
         if step[0] == "attach":
             att = node.attachments[step[1]]
             part, shared = att.part, canonical(att.part, att.shared)
         else:
             m = step[1]
-            if not fixed:
-                part = instantiate(node, m)
-                sup, bound = sup_labels(part), node.envelope.term(m)
-            else:
-                if sup is None:  # its sup, and the envelope at the members <= budget in one batch
-                    part, sup = node.template, sup_labels(node.template)
-                    env = node.envelope.terms(out.budget)
-                bound = env[m - 1] if m <= out.budget else node.envelope.term(m)
-            if sup > bound:
+            if env is None:  # the envelope at the members <= budget, in one batch
+                env = node.envelope.terms(out.budget)
+            bound = env[m - 1] if m <= out.budget else node.envelope.term(m)
+            if free or sup is None:
+                bind = {"site_label": site_seq.term(site[0][1]), "envelope": bound} if free else {}
+                one = _bound(node.template, bind, scale)
+                if one is None:
+                    part = instantiate(node, m) if free else node.template
+                    sup = sup_labels(part)
+                else:  # one piece: the member's refs are bound into it
+                    part, sup, part_scale, values = one
+                    values = values if free else None  # a ref-free piece shares its cut
+                # an envelope whose inf reaches a ref-free sup dominates every member
+                settled = not free and not node.envelope.has_refs() and node.envelope.inf() >= sup
+            if not settled and sup > bound:
                 raise InvalidDeclaration(f"envelope does not dominate member {m}")
             if shared is None:
-                shared = canonical(part, node.shared)
+                shared = canonical(node.template, node.shared)
         outer = base_forced.get(site)
         final = name if outer is None else outer[0]
         if run is not None and step not in by_step:
-            # the template's one record again, with the same shared label
-            # part_val: one more stem, and the site its shared copy merges into
-            stems, finals, kept = run
+            # the template's one record again: one more stem, the site its
+            # shared copy merges into, and the member's labels
+            stems, finals, copies, cut, at = run
             stems.append(f"{stem}{m}/")
             finals.append(final)
-            out.kept += kept
+            # the walk's two checks: the budget's vertices, then all it keeps
+            _check_cap(out, out.kept + len(cut.texts) - len(cut.beyond) - 1)
+            out.kept += len(cut.texts) - 1
             _check_cap(out, out.kept)
+            copies.append(_labels(part, values, cut, part_scale) if free else copies[0])
+            part_val = copies[-1][at]
         else:
             hold = [final, None]
             sub = dict(by_step.get(step, ()))
             sub[shared] = hold
-            _walk(part, prefix + (step,), scale, sub, out)
+            _walk(part, prefix + (step,), scale if one is None else part_scale, sub, out, values)
             part_val = hold[1]
             run = None
-            if fixed and step not in by_step and prefix + (step,) in out.pieces:
-                # a ref-free template that is one piece left one record; the
-                # next members that no forced address pins extend it
-                cut, stems, moved = out.pieces[prefix + (step,)]
-                (finals,) = moved.values()
-                run = stems, finals, len(cut.texts) - 1
+            if one is not None and step not in by_step:
+                # a one-piece template left one record; the next members
+                # that no forced address pins extend it
+                cut, stems, moved, copies = out.pieces[prefix + (step,)]
+                ((at, finals),) = moved.items()
+                run = stems, finals, copies, cut, at
         if part_val != base_val:
             where = format_address((BASE,) + site)
             if step[0] == "member":
@@ -897,35 +936,35 @@ def _check_cap(out: _Truncation, kept: int) -> None:
         raise SizeCapExceeded(kept, out.cap, "truncation (vertices, lower bound)")
 
 
-def _piece(piece, budget: int, forced, scale) -> _Cut:
+def _piece(piece, budget: int, forced) -> _Cut:
     """A Finite, Ray or Star cut at ``budget``, extended to the indices
-    ``forced`` names, with its labels multiplied by ``scale`` (None:
-    unscaled).  A sequence takes the factor through ``scale`` and gives its
-    terms in one batch, so each label costs one exact operation."""
+    ``forced`` names."""
     if isinstance(piece, Finite):
         vs = piece.tree.vertices
         at = {v: i for i, v in enumerate(vs)}
-        labels = [piece.tree.labels[v] for v in vs]
-        return _Cut(
-            ["vertex:" + v for v in vs],
-            labels if scale is None else [scale * x for x in labels],
-            [at[u] for u, _ in piece.tree.edges],
-            [at[v] for _, v in piece.tree.edges],
-        )
+        return _Cut(["vertex:" + v for v in vs], 0, (),
+                    [at[u] for u, _ in piece.tree.edges], [at[v] for _, v in piece.tree.edges])
     extra = [addr[0][1] for addr in forced if addr[0] != CENTER]
     if isinstance(piece, Ray):
-        seq = piece.labels if scale is None else piece.labels.scale(scale)
         top = max([budget, *extra])
-        texts = [f"ray:{n}" for n in range(1, top + 1)]
-        return _Cut(texts, seq.terms(top), range(top - 1), range(1, top))
-    center = _concrete(piece.center_label, "center label")
-    seq = piece.leaf_labels
-    if scale is not None:
-        center, seq = scale * center, seq.scale(scale)
+        return _Cut([f"ray:{n}" for n in range(1, top + 1)], budget, range(budget + 1, top + 1),
+                    range(top - 1), range(1, top))
     beyond = sorted({k for k in extra if k > budget})
     texts = ["center", *(f"leaf:{k}" for k in range(1, budget + 1)), *(f"leaf:{k}" for k in beyond)]
-    labels = [center, *seq.terms(budget), *(seq.term(k) for k in beyond)]
-    return _Cut(texts, labels, [0] * (len(texts) - 1), range(1, len(texts)))
+    return _Cut(texts, budget, beyond, [0] * (len(texts) - 1), range(1, len(texts)))
+
+
+def _labels(piece, values, cut: _Cut, scale) -> list:
+    """The labels of ``piece``'s ``cut`` by its :func:`_values`, times
+    ``scale`` (None: unscaled), each in one exact operation."""
+    if values is None:
+        labels = [piece.tree.labels[v] for v in piece.tree.vertices]
+        return labels if scale is None else [scale * x for x in labels]
+    center, seq = values
+    head = [] if center is None else [_concrete(center, "center label")]  # a star's center
+    if scale is not None:
+        head, seq = [scale * x for x in head], seq.scale(scale)
+    return [*head, *seq.terms(cut.first), *map(seq.term, cut.beyond)]
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,8 @@ def test_freeze_matches_build_tree_for_every_producer(freezes):
 def test_ref_free_family_path_matches_the_instantiate_path(monkeypatch):
     """A template without free refs is every member: truncate walks it
     without instantiating any member, and forcing one instantiation per
-    member gives the same tree, label order and address map, or error."""
+    member (every template treated as holding refs and as more than one
+    piece) gives the same tree, label order and address map, or error."""
     nodes = [symbolic_from_json(doc, validate=False) for doc in GOLDEN_DOCS] + REFUSED
     instantiated = []
     real = symbolic.instantiate
@@ -518,6 +519,7 @@ def test_ref_free_family_path_matches_the_instantiate_path(monkeypatch):
     assert all(has_free_refs(fam.template) for fam in instantiated)
     instantiated.clear()
     monkeypatch.setattr(symbolic, "_node_has_free_refs", lambda node: True)
+    monkeypatch.setattr(symbolic, "_bound", lambda *args: None)
     assert [run(node, b) for node in nodes for b in range(1, 9)] == fast
     assert sum(not has_free_refs(fam.template) for fam in instantiated) > 100
 
@@ -539,7 +541,7 @@ _EVEN_ZERO = Ray(Modulated(2, (Harmonic(1), Const(0))))  # zero at the even site
 _PAIR = _edge("a", F(0), "b", F(1, 2))
 
 
-def _ref_free_family(template, shared, base=_EVEN_ZERO, sites="even", envelope=Const(1)):
+def _family(template, shared, base=_EVEN_ZERO, sites="even", envelope=Const(1)):
     return GlueFamily(base=base, sites=sites, template=template,
                       shared=parse_address(shared), envelope=envelope)
 
@@ -576,7 +578,7 @@ def test_ref_free_members_extend_one_record(monkeypatch, template, shared):
     walk = symbolic._walk
     monkeypatch.setattr(symbolic, "_walk", lambda node, *rest: walked.append(node) or walk(node, *rest))
     for base, sites in REF_FREE_BASES:
-        fam = _ref_free_family(template, shared, base, sites)
+        fam = _family(template, shared, base, sites)
         validate_symbolic(fam)
         for node in (fam, ScaledLabels(fam, F(5, 2))):
             _matches_oracle(node)
@@ -596,48 +598,139 @@ def test_ref_free_members_pinned_by_a_gluing(sites):
     around it."""
     part = _edge("c", F(1, 2), "d", F(1, 5))
     atts = tuple(Attachment(parse_address(s), part, (("vertex", "c"),)) for s in sites)
-    doc = GlueFinite(_ref_free_family(_PAIR, "vertex:a"), atts)
+    doc = GlueFinite(_family(_PAIR, "vertex:a"), atts)
     validate_symbolic(doc)
     _matches_oracle(doc)
     # a ray template forced past the budget inside one member
-    ray = _ref_free_family(REF_FREE_TEMPLATES[1][0], "ray:1")
+    ray = _family(REF_FREE_TEMPLATES[1][0], "ray:1")
     _matches_oracle(_glue(ray, "member:3/ray:6", part, "vertex:c"), range(1, 5))
     # the family glued as a part by the site of its member 2: that member's
     # shared copy merges into the outer base's vertex
-    _matches_oracle(_glue(_EVEN_ZERO, "ray:2", _ref_free_family(_PAIR, "vertex:a"), "base/ray:4"))
+    _matches_oracle(_glue(_EVEN_ZERO, "ray:2", _family(_PAIR, "vertex:a"), "base/ray:4"))
 
 
 def test_ref_free_family_nested_in_a_template():
-    inner = _ref_free_family(_edge("a", F(0), "b", F(1, 4)), "vertex:a",
+    inner = _family(_edge("a", F(0), "b", F(1, 4)), "vertex:a",
                              base=Ray(Modulated(2, (Const(0), Harmonic(F(1, 2))))), sites="odd",
                              envelope=Const(F(1, 2)))
-    outer = _ref_free_family(inner, "base/ray:1")
+    outer = _family(inner, "base/ray:1")
     validate_symbolic(outer)
     _matches_oracle(outer, range(1, 6))
     # the outer template with a ref: each outer member is instantiated, and
     # its inner family still has a ref-free template
     scaled = ScaledLabels(inner, Ref("envelope"))
-    _matches_oracle(_ref_free_family(scaled, "base/ray:1", envelope=Harmonic(2)), range(1, 6))
+    _matches_oracle(_family(scaled, "base/ray:1", envelope=Harmonic(2)), range(1, 6))
 
 
 def test_ref_free_members_refused_where_the_oracle_refuses():
     """An envelope that drops below the template's sup at member 3, and a
     base whose site label stops matching at member 3, are refused at
     member 3 as the oracle refuses them."""
-    drops = _ref_free_family(_PAIR, "vertex:a", envelope=Harmonic(1))
+    drops = _family(_PAIR, "vertex:a", envelope=Harmonic(1))
     _matches_oracle(drops, range(1, 9))
     with pytest.raises(InvalidDeclaration, match=r"^envelope does not dominate member 3$"):
         truncate(drops, 6)
     assert len(truncate(drops, 5)[0]) == 5 + 2
-    mismatch = _ref_free_family(_PAIR, "vertex:a", base=Ray(Modulated(3, (Const(0), Const(0), Harmonic(1)))),
+    mismatch = _family(_PAIR, "vertex:a", base=Ray(Modulated(3, (Const(0), Const(0), Harmonic(1)))),
                                 sites="all")
     _matches_oracle(mismatch, range(1, 9))
     with pytest.raises(GlueLabelMismatch, match=r"^glued labels differ at member:3 at base/ray:3: "):
         truncate(mismatch, 3)
 
 
+# a template that is one piece and holds refs: no member is built, the
+# members' refs are bound into the template, and the first member's record
+# is extended by the others with their own label lists
+
+REF_TEMPLATES = [
+    (Star(Ref("site_label"), Harmonic(Ref("envelope"))), "center"),
+    (Ray(Geometric(Ref("site_label"), Ref("envelope"))), "ray:1"),
+    (Ray(Modulated(2, (Harmonic(Ref("envelope")), Const(Ref("site_label"))))), "ray:2"),
+    (ScaledLabels(Star(F(1), Harmonic(F(1, 3))), Ref("site_label")), "center"),
+    (ScaledLabels(_edge("a", F(1), "b", F(1, 2)), Ref("site_label")), "vertex:a"),
+]
+# site labels 1/(4n) at base index n >= m stay below the envelope 1/(2m)
+REF_BASES = [
+    (Ray(Harmonic(F(1, 4))), "all"),
+    (Ray(Harmonic(F(1, 4))), "even"),
+    (Ray(Harmonic(F(1, 4))), "odd"),
+    (Star(F(1), Harmonic(F(1, 4))), "leaves"),
+]
+
+
+@pytest.fixture
+def instantiated(monkeypatch):
+    """The members ``symbolic.instantiate`` builds while the test runs."""
+    made, real = [], symbolic.instantiate
+    monkeypatch.setattr(symbolic, "instantiate", lambda fam, m: made.append(m) or real(fam, m))
+    return made
+
+
+@pytest.mark.parametrize("template, shared", REF_TEMPLATES, ids=lambda x: getattr(x, "kind", x))
+def test_ref_members_bind_into_one_record(monkeypatch, instantiated, template, shared):
+    """Star, geometric, ray and scaled templates with refs on every site
+    selector, alone and under a ``scaled`` node, agree with the oracle;
+    neither validation nor truncation instantiates a member, and the walk
+    enters the family, its base and the first member only."""
+    walked = []
+    walk = symbolic._walk
+    monkeypatch.setattr(symbolic, "_walk", lambda node, *rest: walked.append(node) or walk(node, *rest))
+    for base, sites in REF_BASES:
+        fam = _family(template, shared, base, sites, envelope=Harmonic(F(1, 2)))
+        validate_symbolic(fam)
+        for node in (fam, ScaledLabels(fam, F(5, 2))):
+            _matches_oracle(node)
+            walked.clear()
+            truncate(node, 6)
+            assert len(walked) == 3
+        assert instantiated == []
+
+
+def test_ref_members_visited_only_where_the_base_keeps_their_site(monkeypatch):
+    """fig10's members sit at the even vertices of its ray: at budget 10 the
+    base keeps ray:1..10, so only members 1..5 are bound and cut."""
+    bound = []
+    real = symbolic._bound
+    monkeypatch.setattr(symbolic, "_bound", lambda *args: bound.append(args[1]) or real(*args))
+    tree, _ = truncate(fig10(), 10)
+    assert len(bound) == 5 and len(tree) == 10 + 5 * 10
+
+
+# members past the 16 that validation spot-checks, and past the window:
+# truncate refuses them at the first failing member
+_LATE_REFUSALS = [
+    # the envelope 1/m drops below a leaf label 1/20 at member 21
+    (GlueFamily(base=Ray(Const(0)), sites="all", template=Star(Ref("site_label"), Const(F(1, 20))),
+                shared=(("center",),), envelope=Harmonic(1)),
+     21, InvalidDeclaration, "envelope does not dominate member 21"),
+    # every 20th site is labeled 1/2, the member's center (its envelope value) 1
+    (GlueFamily(base=Ray(Modulated(20, (*[Const(1)] * 19, Const(F(1, 2))))), sites="all",
+                template=Star(Ref("envelope"), Const(0)), shared=(("center",),), envelope=Const(1)),
+     20, GlueLabelMismatch, "glued labels differ at member:20 at base/ray:20: base has 1/2, part has 1"),
+]
+
+
+@pytest.mark.parametrize("fam, member, error, message", _LATE_REFUSALS, ids=["dominance", "glue"])
+def test_ref_members_refused_past_the_spot_check(instantiated, fam, member, error, message):
+    validate_symbolic(fam)
+    assert len(truncate(fam, member - 1)[0]) > member
+    for budget in (member, member + 3):
+        with pytest.raises(error) as e:
+            truncate(fam, budget)
+        assert str(e.value) == message
+    _matches_oracle(fam, (member - 1, member))
+    assert instantiated == []
+
+
 def test_ref_free_members_meet_the_cap_where_the_walk_per_member_does(monkeypatch):
-    nodes = [_ref_free_family(t, s) for t, s in REF_FREE_TEMPLATES]
+    """Also with refs, and with a shared vertex past the budget, which makes
+    each member keep more vertices than the walk's first check counts."""
+    far = (*[Harmonic(Ref("envelope"))] * 8, Const(Ref("site_label")))
+    nodes = [_family(t, s) for t, s in REF_FREE_TEMPLATES] + [
+        _family(Ray(Modulated(9, (*[Harmonic(F(1, 2))] * 8, Const(0)))), "ray:9"),
+        *(_family(t, s, *REF_BASES[0], envelope=Harmonic(F(1, 2)))
+          for t, s in [*REF_TEMPLATES, (Ray(Modulated(9, far)), "ray:9")]),
+    ]
 
     def refusals():
         out = []
@@ -650,8 +743,9 @@ def test_ref_free_members_meet_the_cap_where_the_walk_per_member_does(monkeypatc
         return out
 
     record = refusals()
-    assert sum(isinstance(x, str) for x in record) > 80
+    assert sum(isinstance(x, str) for x in record) > 160
     monkeypatch.setattr(symbolic, "_node_has_free_refs", lambda node: True)
+    monkeypatch.setattr(symbolic, "_bound", lambda *args: None)
     assert refusals() == record
 
 
@@ -1253,9 +1347,10 @@ def test_refused_node_is_refused_on_every_call():
 
 
 def test_members_instantiated_for_validation_once(monkeypatch):
-    """Parse, classify and isolated points on one node: validation
-    instantiates the checked members once, the preparation the window's
-    members once, and the second question neither."""
+    """Parse, classify and isolated points on one node: validation binds
+    the checked members of fig10's one-piece template without
+    instantiating any, the preparation instantiates the window's members
+    once, and the second question none."""
     made = []
     real = symbolic.instantiate
 
@@ -1268,10 +1363,8 @@ def test_members_instantiated_for_validation_once(monkeypatch):
         monkeypatch.setattr(module, "instantiate", counting)
     fam = fig10()
     window = member_window(fam)
-    checked = set(window) | set(range(1, symbolic.SPOT_CHECK_MEMBERS + 1))
     node = symbolic_from_json(symbolic_to_json(fam))
-    assert sorted(made) == sorted(checked)
-    made.clear()
+    assert made == []
     classify(node)
     assert made == window
     made.clear()
