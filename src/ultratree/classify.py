@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core_tree import is_non_degenerate
-from .errors import DegenerateLabeling, InvalidDeclaration
+from .errors import DegenerateLabeling
 from .ratio import format_rational
-from .seqs import LabelSeq, Ref
+from .seqs import LabelSeq
 from .symbolic import (
     CENTER,
     Address,
@@ -113,16 +113,6 @@ def _member_memo():
         return made[key][1]
 
     return member
-
-
-def _concrete_pieces(node: SymbolicTree, member) -> list:
-    """The piece list every label walker of one call shares."""
-    ps = list(pieces(node, member))
-    if any(scale is None for _, _, scale in ps):
-        raise InvalidDeclaration("scale factor is an unresolved ref")
-    if any(isinstance(p, Star) and isinstance(p.center_label, Ref) for _, p, _ in ps):
-        raise InvalidDeclaration("center label is an unresolved ref")
-    return ps
 
 
 def _scaled_by(scale: Fraction) -> str:
@@ -342,7 +332,7 @@ def _prepare(node: SymbolicTree) -> tuple[tuple, tuple[_CenterRecord, ...]]:
     prepared = node.__dict__.get("_prepared")
     if prepared is None:
         member = _member_memo()
-        ps = _concrete_pieces(node, member)
+        ps = list(pieces(node, member))  # every label walker shares it; no refs once validated
         _raise_degenerate(ps)
         witnesses = _vanishing_ray(ps), _nonvanishing_seq(ps), _positive_infinite_degree(ps)
         prepared = node.__dict__["_prepared"] = witnesses, tuple(_center_records(node, ps, member))

@@ -2,6 +2,12 @@
 
 All quantities in this package (labels, distances, sequence terms, epsilons)
 are `fractions.Fraction` values; nothing is ever a float.
+
+:func:`coprime_fraction` is the trusted constructor: n/d from coprime ints
+with d > 0, without the gcd that ``Fraction(n, d)`` runs.  Only producers
+whose output is in lowest terms by a gcd rule may call it (the label
+batches of ``seqs``); its result is equal, hashed and formatted as
+``Fraction(n, d)``.  Input goes through :func:`parse_rational`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ def parse_rational(text) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidDeclaration(f"not a rational: {text!r}") from exc
+
+
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime ints n and d > 0, not normalized again (see above)."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = n, d
+    return x
 
 
 def format_rational(value: Fraction) -> str:

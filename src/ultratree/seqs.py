@@ -20,9 +20,12 @@ and ``prime_recip`` are a times a positive profile decreasing to 0; their
 base gives limsup = liminf = inf = 0, sup = term(1), the zero profile
 (0, 1), and ``indices_geq`` and ``count_last_geq`` from a count of the
 leading terms >= eps.
-Harmonic and prime-reciprocal terms with a = p/q are ``Fraction(p, q * d)``
-for d the index or the n-th prime: one normalisation, no division.  A
-geometric batch keeps a running product.  ``modulated`` interleaves child
+Harmonic and prime-reciprocal terms with a = p/q are p/(q*d) for d the
+index or the n-th prime, in lowest terms as (p/g)/(q*(d/g)) for g = gcd(p, d).
+A geometric batch multiplies a running n/d by r = rn/rd after cancelling
+gcd(n, rd) and gcd(rn, d).  Both are made by the trusted ``coprime_fraction``,
+not normalized again.  Primes come from a sieve; a prime count past
+``PRIME_SIEVE_LIMIT`` raises SizeCapExceeded.  ``modulated`` interleaves child
 sequences of any kind, answers from its children, and fills each child's
 batch slots from the child's own batch.
 
@@ -51,13 +54,15 @@ sequence; ``substitute`` produces one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
-from math import floor, gcd, lcm
+from itertools import compress
+from math import floor, gcd, isqrt, lcm
 
-from .errors import InvalidDeclaration
-from .ratio import format_rational, parse_rational
+from .errors import InvalidDeclaration, SizeCapExceeded
+from .ratio import coprime_fraction, format_rational, parse_rational
 
 
 class _Infinite:
@@ -515,6 +520,12 @@ class _Vanishing(LabelSeq):
         return (0, 1)
 
 
+def _over(p: int, q: int, d: int) -> Fraction:
+    """(p/q) / d for p/q in lowest terms: gcd(p, q*d) = gcd(p, d)."""
+    g = gcd(p, d)
+    return coprime_fraction(p // g, q * (d // g))
+
+
 class _Reciprocal(_Vanishing):
     """a / d(n) for an increasing sequence of positive integers d(n)."""
 
@@ -522,11 +533,11 @@ class _Reciprocal(_Vanishing):
         if n < 1:
             raise InvalidDeclaration(f"index {n} out of range")
         _need_concrete(self)
-        return Fraction(self.a.numerator, self.a.denominator * self._denominator(n))
+        return _over(self.a.numerator, self.a.denominator, self._denominator(n))
 
     def _batch(self, stop):
         p, q = self.a.numerator, self.a.denominator
-        return [Fraction(p, q * d) for d in self._denominators(stop)]
+        return [_over(p, q, d) for d in self._denominators(stop)]
 
     def sup_factors(self, skip):
         return [(self.a, Fraction(1, self._denominator(2 if skip == 1 else 1)))]
@@ -582,11 +593,13 @@ class Geometric(_Vanishing):
         return self.a * self.r ** (n - 1)
 
     def _batch(self, stop):
-        t, r = self.a, self.r
-        out = [t]
+        # n/d and rn/rd are in lowest terms, so the cross-cancelled product is
+        n, d, rn, rd = self.a.numerator, self.a.denominator, self.r.numerator, self.r.denominator
+        out = [self.a]
         for _ in range(stop - 1):
-            t *= r
-            out.append(t)
+            g1, g2 = gcd(n, rd), gcd(rn, d)
+            n, d = (n // g1) * (rn // g2), (d // g2) * (rd // g1)
+            out.append(coprime_fraction(n, d))
         return out
 
     def _count_geq(self, eps):
@@ -607,16 +620,26 @@ class Geometric(_Vanishing):
 
 # -- primes ------------------------------------------------------------------
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
+# the largest bound a prime count sieves to; it covers the 200,000th prime
+# (2,750,159), so a truncation within TRUNCATE_SIZE_CAP never meets it
+PRIME_SIEVE_LIMIT = 3_000_000
+
+_PRIMES: list[int] = []  # every prime below _sieved, in order
+_sieved = 2
 
 
-def _grow_primes() -> None:
-    cand = _PRIMES[-1] + 2
-    while True:
-        if all(cand % p for p in _PRIMES if p * p <= cand):
-            _PRIMES.append(cand)
-            return
-        cand += 2
+def _sieve(upto: int) -> None:
+    """List every prime <= upto, sieving again over at least twice the range."""
+    global _sieved
+    if upto < _sieved:
+        return
+    _sieved = max(upto + 1, 2 * _sieved)
+    flags = bytearray([1]) * _sieved
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(_sieved - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, _sieved, p)))
+    _PRIMES[:] = compress(range(_sieved), flags)
 
 
 def nth_prime(n: int) -> int:
@@ -624,7 +647,7 @@ def nth_prime(n: int) -> int:
     if n < 1:
         raise InvalidDeclaration(f"prime index {n} out of range")
     while len(_PRIMES) < n:
-        _grow_primes()
+        _sieve(_sieved)
     return _PRIMES[n - 1]
 
 
@@ -647,10 +670,11 @@ class PrimeRecip(_Reciprocal):
         return _PRIMES[:stop]
 
     def _count_geq(self, eps):
-        n, bound = 0, self.a / eps
-        while nth_prime(n + 1) <= bound:
-            n += 1
-        return n
+        bound = floor(self.a / eps)  # a/p >= eps exactly for the primes p <= bound
+        if bound > PRIME_SIEVE_LIMIT:
+            raise SizeCapExceeded(bound, PRIME_SIEVE_LIMIT, "prime sieve")
+        _sieve(bound)
+        return bisect_right(_PRIMES, bound)
 
 
 @dataclass(frozen=True)

@@ -561,6 +561,8 @@ def validate_symbolic(node: SymbolicTree) -> None:
     window plus the first few indices), envelopes dominate member suprema.
     A checked member of a one-piece template is not built (its refs are
     bound into the template by :func:`_bound`); others are instantiated.
+    A ref outside every family template is refused first: no member binds
+    it.  Refs of a family nested inside a template stay legal.
 
     A node that passes is marked as validated in its own ``__dict__`` (as
     ``functools.cached_property`` stores a value on a frozen dataclass),
@@ -572,16 +574,22 @@ def validate_symbolic(node: SymbolicTree) -> None:
     """
     if "_validated" in getattr(node, "__dict__", ()):
         return
-    for prefix, n in walk_constructors(node):
-        if any(step[0] == "member" for step in prefix):
-            continue  # a template is checked through its instantiated members
+    # a template is checked through its members
+    outside = [n for p, n in walk_constructors(node) if all(s[0] != "member" for s in p)]
+    for n in outside:
+        if not isinstance(n, SymbolicTree):
+            raise InvalidDeclaration(f"unknown constructor {type(n).__name__}")
+        for name in field_names(type(n)):
+            value = getattr(n, name)
+            if holds_refs(value):
+                what = value.describe() if isinstance(value, LabelSeq) else f"${value.source}"
+                raise InvalidDeclaration(f"{n.kind} {name} {what} holds a ref that no family binds")
+    for n in outside:
         if isinstance(n, GlueFinite):
             for a in n.attachments:
                 _validate_glue(n.base, a.site, a.part, a.shared)
         elif isinstance(n, GlueFamily):
             _validate_family(n)
-        elif not isinstance(n, SymbolicTree):
-            raise InvalidDeclaration(f"unknown constructor {type(n).__name__}")
     node.__dict__["_validated"] = True
 
 
@@ -603,8 +611,6 @@ def _validate_family(fam: GlueFamily) -> None:
     if not has_vertex(fam.template, fam.shared):
         raise UnknownVertex(format_address(fam.shared))
     _validate_template_ratio_refs(fam)
-    if _node_has_free_refs(fam):
-        return  # a nested family: its members are checked once instantiated
     checks = sorted(set(member_window(fam)) | set(range(1, SPOT_CHECK_MEMBERS + 1)))
     for m in checks:
         want, bound = site_label(fam, m), fam.envelope.term(m)
@@ -646,8 +652,6 @@ def _validate_template_ratio_refs(fam: GlueFamily) -> None:
                 what = "site labels"
             else:
                 seq, start, step, what = fam.envelope, 1, 1, "envelope values"
-            if seq.has_refs():
-                continue  # nested family: checked at instantiation
             if seq.zero_in_progression(start, step) or s.r.coeff * seq.sup() >= 1:
                 raise InvalidDeclaration(f"geometric ratio ref needs {what} in (0, 1)")
 

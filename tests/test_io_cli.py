@@ -658,6 +658,13 @@ MALFORMED_SYMBOLIC = [
     ({"kind": "ray", "labels": {"kind": "custom", "prefix": [], "limsup": "0",
                                 "liminf": "0", "inf": "0", "vanishes": 1}},
      "custom field 'vanishes' is malformed: 1"),
+    # a ref outside every family template: no member binds it
+    ({"kind": "glue_family", "base": RAY, "sites": "all",
+      "template": {"kind": "star", "center": "1", "leaves": {"kind": "const", "c": "0"}},
+      "shared": "center", "envelope": {"kind": "harmonic", "a": {"$": "envelope"}}},
+     "glue_family envelope harmonic($envelope) holds a ref that no family binds"),
+    ({"kind": "scaled", "inner": RAY, "factor": {"$": "site_label"}},
+     "scaled factor $site_label holds a ref that no family binds"),
 ]
 
 

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
+from functools import cache
+from itertools import takewhile
 
 import pytest
 
-from ultratree.errors import InvalidDeclaration
+from ultratree import seqs as seqs_module
+from ultratree.errors import InvalidDeclaration, SizeCapExceeded
+from ultratree.ratio import coprime_fraction, format_rational
 from ultratree.seqs import (
     INFINITE,
+    PRIME_SIEVE_LIMIT,
     Const,
     Custom,
     FiniteSupport,
@@ -432,4 +438,145 @@ def test_zero_profile_of_a_deep_never_zero_nesting_within_budget():
     took = time.perf_counter() - start
     print(f"nested modulated depth 30: zero questions and classify in {took:.3f}s of {budget:.0f}s")
     assert verdict.complete and not verdict.totally_bounded
+    assert took < budget
+
+
+# ---------------------------------------------------------------------------
+# the trusted constructor and the batches built in lowest terms
+
+
+def test_fraction_keeps_the_slots_the_trusted_constructor_sets():
+    # coprime_fraction writes these two slots; every supported Python has them
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def test_coprime_fraction_is_the_fraction_the_constructor_makes():
+    rng = random.Random(4099)
+    pairs = [(0, 1), (1, 1), (-3, 4), (7, 2)]
+    while len(pairs) < 300:
+        n = rng.randrange(-(10 ** rng.randrange(1, 60)), 10 ** rng.randrange(1, 60))
+        d = rng.randrange(1, 10 ** rng.randrange(1, 60))
+        if math.gcd(n, d) == 1:
+            pairs.append((n, d))
+    for n, d in pairs:
+        got, want = coprime_fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (n, d)
+        assert got == want and hash(got) == hash(want) and {want: 1}[got] == 1
+        assert (repr(got), str(got), format_rational(got)) == (
+            repr(want), str(want), format_rational(want))
+        other = Fraction(rng.randrange(-50, 50), rng.randrange(1, 50))
+        for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
+            assert op(got, other) == op(want, other) and op(other, got) == op(other, want)
+        assert (-got, abs(got), got / 7, got**3) == (-want, abs(want), want / 7, want**3)
+
+
+def _naive_term(seq, k):
+    """Each kind's term from its definition, one term at a time."""
+    if isinstance(seq, Harmonic):
+        return seq.a / k
+    if isinstance(seq, PrimeRecip):
+        return seq.a / _trial_division_primes()[k - 1]
+    if isinstance(seq, Geometric):
+        return seq.a * seq.r ** (k - 1)
+    i, j = (k - 1) % seq.period, (k - 1) // seq.period + 1
+    return _naive_term(seq.seqs[i], j)
+
+
+@cache
+def _trial_division_primes(count=10_000):
+    primes = []
+    cand = 2
+    while len(primes) < count:
+        if all(cand % p for p in takewhile(lambda p: p * p <= cand, primes)):
+            primes.append(cand)
+        cand += 1
+    return primes
+
+
+def _random_batch_seq(rng, depth=2):
+    a = rng.choice((F(0), F(1), F(9, 4), F(rng.randrange(1, 10**6), rng.randrange(1, 10**6))))
+    kind = rng.randrange(4 if depth else 3)
+    if kind == 0:
+        return Harmonic(a)
+    if kind == 1:
+        return PrimeRecip(a)
+    if kind == 2:
+        den = rng.randrange(2, 40)
+        return Geometric(a, rng.choice((F(2, 3), F(rng.randrange(1, den), den))))
+    period = rng.randint(1, 3)
+    return Modulated(period, tuple(_random_batch_seq(rng, depth - 1) for _ in range(period)))
+
+
+def test_batches_match_the_naive_terms_in_lowest_terms():
+    rng = random.Random(1009)
+    seqs = [Geometric(F(9, 4), F(2, 3)), Geometric(0, F(1, 2)), Harmonic(0), PrimeRecip(0),
+            Harmonic(F(6, 35)), PrimeRecip(F(10, 3))]
+    seqs += [_random_batch_seq(rng) for _ in range(300)]
+    for i, seq in enumerate(seqs):
+        stop = 1200 if i % 50 == 0 else rng.randrange(1, 40)
+        factor = F(rng.randrange(1, 30), rng.randrange(1, 30))
+        batch, scaled = seq.terms(stop), seq.scale(factor).terms(stop)
+        assert batch == [seq.term(k) for k in range(1, stop + 1)], seq.describe()
+        for k, (t, s) in enumerate(zip(batch, scaled), 1):
+            assert t == _naive_term(seq, k) and s == factor * t, (seq.describe(), k)
+            for x in (t, s):
+                assert type(x) is Fraction and x.denominator > 0
+                assert math.gcd(x.numerator, x.denominator) == 1, (seq.describe(), k)
+
+
+# ---------------------------------------------------------------------------
+# the prime sieve
+
+
+@pytest.fixture
+def fresh_primes(monkeypatch):
+    """An empty prime table, as in a new process."""
+    monkeypatch.setattr(seqs_module, "_PRIMES", [])
+    monkeypatch.setattr(seqs_module, "_sieved", 2)
+
+
+def test_sieve_matches_trial_division(fresh_primes):
+    want = _trial_division_primes()
+    assert [nth_prime(k) for k in range(1, 10_001)] == want
+    assert nth_prime(200_000) == 2_750_159 <= PRIME_SIEVE_LIMIT
+
+
+def test_prime_recip_star_and_count_within_budget(fresh_primes):
+    """From an empty table: a 40,000-leaf star of ``prime_recip(1)``, and
+    the count of ``prime_recip(10**5)`` labels >= 1, the primes <= 10**5."""
+    from ultratree.symbolic import Ray, Star, count_vertices_geq, truncate
+
+    budget = 3.0
+    start = time.perf_counter()
+    tree, _ = truncate(Star(F(1), PrimeRecip(1)), 40_000)
+    took = time.perf_counter() - start
+    print(f"truncate star(1; prime_recip(1)) at budget 40000: {took:.3f}s of {budget:.0f}s")
+    assert len(tree.vertices) == 40_001
+    assert max(l for l in tree.labels.values() if l < 1) == F(1, 2)
+    assert took < budget
+
+    seqs_module._PRIMES[:], seqs_module._sieved = [], 2
+    budget = 1.0
+    start = time.perf_counter()
+    count = count_vertices_geq(Ray(PrimeRecip(10**5)), F(1))
+    took = time.perf_counter() - start
+    print(f"count of ray prime_recip(10**5) at eps 1: {took:.3f}s of {budget:.0f}s")
+    assert count == 9_592
+    assert took < budget
+
+
+def test_prime_count_past_the_sieve_limit_is_refused(fresh_primes):
+    from ultratree.symbolic import Ray, count_vertices_geq
+
+    budget = 1.0
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded) as err:
+        count_vertices_geq(Ray(PrimeRecip(10**7)), F(1))
+    took = time.perf_counter() - start
+    print(f"count of ray prime_recip(10**7) at eps 1: refused in {took:.4f}s of {budget:.0f}s")
+    assert str(err.value) == f"prime sieve size {10**7} exceeds cap {PRIME_SIEVE_LIMIT}"
+    assert seqs_module._PRIMES == []  # refused before sieving
+    assert PrimeRecip(F(1, 2)).count_geq(F(1, 2 * PRIME_SIEVE_LIMIT)) == len(
+        seqs_module._PRIMES)
     assert took < budget

@@ -1309,13 +1309,30 @@ def test_free_predicates_adjacent_pair():
 
 
 def test_classify_refuses_refs_outside_a_template():
-    # a ref means nothing outside a family template: no member binds it
+    # a ref means nothing outside a family template: no member binds it,
+    # and validation names it
     with pytest.raises(InvalidDeclaration) as e:
         classify(ScaledLabels(Star(F(0), Harmonic(1)), Ref("envelope")))
-    assert str(e.value) == "scale factor is an unresolved ref"
+    assert str(e.value) == "scaled factor $envelope holds a ref that no family binds"
     with pytest.raises(InvalidDeclaration) as e:
         isolated_points(Star(Ref("site_label"), Harmonic(1)))
-    assert str(e.value) == "center label is an unresolved ref"
+    assert str(e.value) == "star center_label $site_label holds a ref that no family binds"
+
+
+def test_refs_of_a_family_nested_in_a_template_stay_legal():
+    # the inner family's base and envelope hold the outer member's refs,
+    # and its own template holds its own
+    inner = GlueFamily(
+        base=Star(Ref("site_label"), Const(0)), sites="leaves",
+        template=Star(F(0), Harmonic(Ref("envelope"))), shared=(("center",),),
+        envelope=Harmonic(Ref("envelope")),
+    )
+    outer = GlueFamily(base=Ray(Harmonic(1)), sites="all", template=inner,
+                       shared=parse_address("base/center"), envelope=Harmonic(1))
+    validate_symbolic(outer)
+    for budget in range(1, 9):
+        assert truncate(outer, budget) == truncate_oracle(outer, budget)
+    assert not classify(outer).complete
 
 
 # ---------------------------------------------------------------------------
